@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import json
-import sys
 from pathlib import Path
 from typing import Optional
 
@@ -20,11 +19,9 @@ import numpy as np
 from . import __version__
 from .attribution import METHODS, AttributionError, attribute
 from .corpus import (
-    Corpus,
     CorpusError,
     NO_RELATION,
     load_corpus,
-    mask_entities,
     save_corpus,
 )
 from .evalmetrics import (
@@ -57,7 +54,7 @@ from .rulegen import (
     generate_ruleset,
     merge_rulesets,
 )
-from .rules import RuleError, annotate_explanations, load_rules, match_all, save_rules
+from .rules import RuleError, annotate_explanations, first_match, load_rules, save_rules
 from .synth import GeneratorError, GeneratorSpec, gen_synthetic, load_generator_spec, seed_rules
 from .trainer import TrainConfig, TrainingError, train as run_training
 
@@ -98,7 +95,7 @@ def _load_split(data: str, split: str):
     instances = corpus.split(split)
     if not instances:
         raise click.ClickException(f"split {split!r} in {data} is empty")
-    return corpus, list(instances)
+    return list(instances)
 
 
 @click.group()
@@ -200,7 +197,7 @@ def train_cmd(data: str, out: str, rules_path: Optional[str],
 def predict_cmd(data: str, split: str, model_path: str, out: str,
                 threshold: float) -> None:
     """Write model predictions for a split as JSON lines."""
-    _, instances = _load_split(data, split)
+    instances = _load_split(data, split)
     model = Model.load(model_path)
     manifest = RunManifest(command="predict", seed=model.config.seed,
                            config={"split": split, "threshold": threshold})
@@ -236,7 +233,7 @@ def _report_out(report, out: Optional[str], manifest: RunManifest) -> None:
 @_wrap_errors
 def eval_rc(data: str, split: str, pred_path: str, out: Optional[str]) -> None:
     """Micro precision/recall/F1 over relation labels."""
-    _, instances = _load_split(data, split)
+    instances = _load_split(data, split)
     preds = load_predictions(pred_path)
     gold = {inst.id: inst.gold_relation for inst in instances}
     predicted = {iid: rec["label"] for iid, rec in preds.items()}
@@ -262,7 +259,7 @@ def eval_ec(data: str, split: str, pred_path: str, rules_path: str,
 
     Only instances where some rule agrees with the gold label are scored.
     """
-    _, instances = _load_split(data, split)
+    instances = _load_split(data, split)
     preds = load_predictions(pred_path)
     rules = load_rules(rules_path)
     gold_expl = annotate_explanations(rules, instances)
@@ -312,15 +309,12 @@ def gen_rules(data: str, split: Optional[str], model_path: str, mode: str,
     source = TRAIN_GOLD if mode == "gold" else TEST_PREDICTED
     if split is None:
         split = "train" if mode == "gold" else "test"
-    _, instances = _load_split(data, split)
+    instances = _load_split(data, split)
     model = Model.load(model_path)
     manual = load_rules(manual_path) if manual_path else None
-    annotations = None
-    if source == TRAIN_GOLD and manual is not None:
-        annotations = annotate_explanations(manual, instances)
     ruleset = generate_ruleset(
         model, instances, manual, GenConfig(source=source),
-        rule_annotations=annotations, nrc_threshold=threshold,
+        nrc_threshold=threshold,
     )
     manifest = RunManifest(command="gen-rules",
                            config={"mode": mode, "split": split,
@@ -348,16 +342,14 @@ def gen_rules(data: str, split: Optional[str], model_path: str, mode: str,
 def run_rules(data: str, split: str, rules_paths: tuple[str, ...], out: str,
               merged_out: Optional[str]) -> None:
     """Predict a split with rule sets merged in argument order."""
-    corpus, instances = _load_split(data, split)
+    instances = _load_split(data, split)
     merged = merge_rulesets([load_rules(p) for p in rules_paths])
     manifest = RunManifest(command="run-rules", config={"split": split})
     manifest.inputs += [data, *rules_paths]
     predictions = []
     for inst in instances:
-        seq = mask_entities(inst, corpus.token_vocab)
-        matches = match_all(merged, inst, seq=seq)
-        if matches:
-            first = matches[0]
+        first = first_match(merged, inst)
+        if first is not None:
             predictions.append(Prediction(
                 instance_id=inst.id,
                 label=first.label,
@@ -398,7 +390,7 @@ def run_rules(data: str, split: str, rules_paths: tuple[str, ...], out: str,
 def explain(data: str, split: str, instance_id: str, model_path: str,
             method: str, topn: int, out: Optional[str]) -> None:
     """Show which tokens drive the prediction for one instance."""
-    _, instances = _load_split(data, split)
+    instances = _load_split(data, split)
     by_id = {inst.id: inst for inst in instances}
     if instance_id not in by_id:
         raise click.ClickException(f"no instance {instance_id!r} in split {split!r}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -91,6 +92,21 @@ class RelationInstance:
 
     def forms(self) -> list[str]:
         return [t.form for t in self.tokens]
+
+    @cached_property
+    def masked_symbols(self) -> tuple[str, ...]:
+        """The entity-masked symbol sequence, [CLS] first; needs no vocabulary.
+
+        Every entity token is replaced individually, which keeps masked
+        position k aligned with original token k - 1.  Computed once per
+        instance: rule matching reads it for every surface rule it tries.
+        """
+        symbols = [CLS] + [tok.form for tok in self.tokens]
+        # the subject goes last so that it wins should the spans overlap
+        for (lo, hi), symbol in ((self.obj_span, obj_symbol(self.obj_type)),
+                                 (self.subj_span, subj_symbol(self.subj_type))):
+            symbols[lo + 1:hi + 2] = [symbol] * (hi - lo + 1)
+        return tuple(symbols)
 
     def validate(self) -> None:
         n = len(self.tokens)
@@ -364,13 +380,11 @@ def save_instances(instances: Iterable[RelationInstance], path: str | Path) -> N
             fh.write("\n")
 
 
-def load_corpus(path: str | Path, fmt: str = "jsonl") -> Corpus:
+def load_corpus(path: str | Path) -> Corpus:
     """Load a corpus directory holding train.jsonl / dev.jsonl / test.jsonl.
 
     Missing split files yield empty splits; a missing directory is an error.
     """
-    if fmt != "jsonl":
-        raise CorpusError(f"unsupported corpus format {fmt!r}")
     root = Path(path)
     if not root.is_dir():
         raise CorpusError(f"corpus directory {root} does not exist")
@@ -391,29 +405,13 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 
 def mask_entities(inst: RelationInstance, vocab: TokenVocab) -> MaskedSequence:
-    """Replace entity tokens with typed placeholders and prepend [CLS].
-
-    Every entity token is replaced individually, which keeps masked
-    positions aligned one-to-one with original token positions.
-    """
-    symbols = [CLS]
-    token_map: list[Optional[int]] = [None]
-    subj = inst.subj_indices
-    obj = inst.obj_indices
-    for i, tok in enumerate(inst.tokens):
-        if i in subj:
-            symbols.append(subj_symbol(inst.subj_type))
-        elif i in obj:
-            symbols.append(obj_symbol(inst.obj_type))
-        else:
-            symbols.append(tok.form)
-        token_map.append(i)
-    ids = tuple(vocab.id(s) for s in symbols)
+    """Replace entity tokens with typed placeholders and prepend [CLS]."""
+    symbols = inst.masked_symbols
     return MaskedSequence(
         instance_id=inst.id,
-        symbols=tuple(symbols),
-        ids=ids,
-        token_map=tuple(token_map),
+        symbols=symbols,
+        ids=tuple(vocab.id(s) for s in symbols),
+        token_map=(None, *range(len(inst.tokens))),
     )
 
 

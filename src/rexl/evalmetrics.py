@@ -95,6 +95,16 @@ def _set_prf(pred: frozenset[int] | set[int], gold: frozenset[int] | set[int]):
     return _prf(tp, fp, fn)
 
 
+def _macro(kind: str, scores: Sequence[tuple[float, float, float]],
+           support: dict[str, int]) -> EvalReport:
+    """Average per-instance (precision, recall, f1); all zero with no instances."""
+    support = {"instances": len(scores), **support}
+    if not scores:
+        return EvalReport(kind, 0.0, 0.0, 0.0, support)
+    precision, recall, f1 = (sum(column) / len(scores) for column in zip(*scores))
+    return EvalReport(kind, precision, recall, f1, support)
+
+
 def ec_overlap(
     predicted: Mapping[str, Iterable[int]],
     gold: Mapping[str, Iterable[int]],
@@ -102,29 +112,18 @@ def ec_overlap(
     """Macro-averaged token overlap between predicted and gold rationales.
 
     Only instances present in ``gold`` with a non-empty gold set count.
-    A missing or empty prediction against a non-empty gold set scores zero.
+    A missing or empty prediction against a non-empty gold set scores zero;
+    ``support["missing"]`` counts the scored instances with no prediction.
     """
-    scored = 0
-    sum_p = sum_r = sum_f = 0.0
+    scores = []
+    missing = 0
     for iid, gold_tokens in gold.items():
         gset = set(gold_tokens)
         if not gset:
             continue
-        pset = set(predicted.get(iid, ()))
-        p, r, f = _set_prf(pset, gset)
-        sum_p += p
-        sum_r += r
-        sum_f += f
-        scored += 1
-    if scored == 0:
-        return EvalReport("rationale-overlap", 0.0, 0.0, 0.0, {"instances": 0})
-    return EvalReport(
-        kind="rationale-overlap",
-        precision=sum_p / scored,
-        recall=sum_r / scored,
-        f1=sum_f / scored,
-        support={"instances": scored},
-    )
+        missing += iid not in predicted
+        scores.append(_set_prf(set(predicted.get(iid, ())), gset))
+    return _macro("rationale-overlap", scores, {"missing": missing})
 
 
 def plausibility(
@@ -133,8 +132,7 @@ def plausibility(
 ) -> EvalReport:
     """Agreement with human rationale annotations, taking the better
     annotator per instance (per-instance max F1)."""
-    scored = 0
-    sum_p = sum_r = sum_f = 0.0
+    scores = []
     for iid in sorted(annotations):
         annotator_sets = [set(a) for a in annotations[iid]]
         if len(annotator_sets) < 2:
@@ -142,23 +140,11 @@ def plausibility(
         if iid not in predicted:
             raise EvalError(f"{iid}: no prediction for annotated instance")
         pset = set(predicted[iid])
-        best = max(
+        scores.append(max(
             (_set_prf(pset, aset) for aset in annotator_sets),
             key=lambda prf: prf[2],
-        )
-        sum_p += best[0]
-        sum_r += best[1]
-        sum_f += best[2]
-        scored += 1
-    if scored == 0:
-        return EvalReport("plausibility", 0.0, 0.0, 0.0, {"instances": 0})
-    return EvalReport(
-        kind="plausibility",
-        precision=sum_p / scored,
-        recall=sum_r / scored,
-        f1=sum_f / scored,
-        support={"instances": scored},
-    )
+        ))
+    return _macro("plausibility", scores, {})
 
 
 def load_annotations(path: str | Path) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -121,6 +121,11 @@ def param_specs(cfg: ModelConfig, vocab_size: int, n_classes: int):
     return specs
 
 
+def class_labels(relation_vocab: Sequence[str], ablate: Optional[str]) -> tuple[str, ...]:
+    """Relation-head classes: the positive labels, plus NO_RELATION without a gate."""
+    return tuple(relation_vocab) + ((NO_RELATION,) if ablate == ABLATE_GATE else ())
+
+
 def init_params(specs, rng: np.random.Generator) -> dict[str, np.ndarray]:
     params = {}
     for name, shape, _decay, init in specs:
@@ -131,6 +136,34 @@ def init_params(specs, rng: np.random.Generator) -> dict[str, np.ndarray]:
         else:
             params[name] = np.zeros(shape, dtype=np.float64)
     return params
+
+
+# pooling segment of each kept position of a restricted row; padding reads as [CLS]
+_SEG_CLS, _SEG_CTX, _SEG_SUBJ, _SEG_OBJ = range(4)
+
+
+def _kept_positions(inst: RelationInstance, bits: Sequence[int]):
+    """Masked positions a restricted row keeps, in order, with their segments.
+
+    [CLS], both entity spans and the context tokens the rationale selects;
+    a rationale bit on an entity token changes nothing.
+    """
+    s_lo, s_hi = inst.subj_span
+    o_lo, o_hi = inst.obj_span
+    keep = [0]
+    seg = [_SEG_CLS]
+    for i in range(len(inst.tokens)):
+        if s_lo <= i <= s_hi:
+            code = _SEG_SUBJ
+        elif o_lo <= i <= o_hi:
+            code = _SEG_OBJ
+        elif bits[i]:
+            code = _SEG_CTX
+        else:
+            continue
+        keep.append(i + 1)
+        seg.append(code)
+    return keep, seg
 
 
 def _pad_rows(id_rows, pos_rows):
@@ -163,7 +196,8 @@ class Model:
         token_vocab: TokenVocab,
         relation_vocab: Sequence[str],
         ablate: Optional[str] = None,
-        params: Optional[dict[str, np.ndarray]] = None,
+        *,
+        params: dict[str, np.ndarray],
     ):
         if ablate not in _ABLATIONS:
             raise ValueError(f"unknown ablation {ablate!r}, expected one of {_ABLATIONS}")
@@ -173,13 +207,9 @@ class Model:
         self.token_vocab = token_vocab
         self.relation_vocab = tuple(relation_vocab)
         self.ablate = ablate
-        self.class_labels = self.relation_vocab + (
-            (NO_RELATION,) if ablate == ABLATE_GATE else ()
-        )
+        self.class_labels = class_labels(relation_vocab, ablate)
         self._class_index = {r: i for i, r in enumerate(self.class_labels)}
         self.specs = param_specs(config, len(token_vocab), len(self.class_labels))
-        if params is None:
-            raise ValueError("params are required; use Model.create or Model.load")
         for name, shape, _d, _i in self.specs:
             if name not in params:
                 raise ValueError(f"missing parameter {name}")
@@ -200,12 +230,10 @@ class Model:
     ) -> "Model":
         if rng is None:
             rng = np.random.default_rng(config.seed)
-        shell = cls.__new__(cls)
-        n_classes = len(tuple(relation_vocab)) + (1 if ablate == ABLATE_GATE else 0)
+        n_classes = len(class_labels(relation_vocab, ablate))
         specs = param_specs(config, len(token_vocab), n_classes)
         params = init_params(specs, rng)
-        shell.__init__(config, token_vocab, relation_vocab, ablate=ablate, params=params)
-        return shell
+        return cls(config, token_vocab, relation_vocab, ablate=ablate, params=params)
 
     def class_index(self, label: str) -> int:
         if label not in self._class_index:
@@ -215,26 +243,26 @@ class Model:
     # ------------------------------------------------------------------
     # sequence plumbing
 
-    def masked(self, inst: RelationInstance) -> MaskedSequence:
-        return mask_entities(inst, self.token_vocab)
-
-    def _check_length(self, seq: MaskedSequence) -> None:
-        if len(seq) > self.config.max_seq_len:
+    def check_lengths(self, instances: Iterable[RelationInstance]) -> None:
+        """Fail once, naming every instance too long to encode."""
+        limit = self.config.max_seq_len
+        # the masked sequence is one [CLS] plus one symbol per token
+        too_long = [f"{inst.id} ({len(inst.tokens) + 1})"
+                    for inst in instances if len(inst.tokens) + 1 > limit]
+        if too_long:
             raise SequenceTooLongError(
-                f"{seq.instance_id}: masked length {len(seq)} exceeds "
-                f"max_seq_len={self.config.max_seq_len}; truncate upstream"
+                f"{len(too_long)} masked sequence(s) exceed max_seq_len={limit}: "
+                f"{', '.join(too_long)}; truncate upstream"
             )
 
+    def masked(self, inst: RelationInstance) -> MaskedSequence:
+        self.check_lengths((inst,))
+        return mask_entities(inst, self.token_vocab)
+
     def _full_batch(self, seqs: Sequence[MaskedSequence]):
-        for seq in seqs:
-            self._check_length(seq)
         id_rows = [np.asarray(seq.ids, dtype=np.int64) for seq in seqs]
         pos_rows = [np.arange(len(seq), dtype=np.int64) for seq in seqs]
         return _pad_rows(id_rows, pos_rows)
-
-    def _context_positions(self, inst: RelationInstance, bits: Sequence[int]) -> list[int]:
-        entity = inst.entity_indices
-        return [i + 1 for i, b in enumerate(bits) if b and i not in entity]
 
     def full_rationale_bits(self, inst: RelationInstance) -> tuple[int, ...]:
         entity = inst.entity_indices
@@ -248,35 +276,22 @@ class Model:
         """
         id_rows = []
         pos_rows = []
-        keeps = []
+        seg_rows = []
         for row in rows:
-            self._check_length(row.seq)
-            ctx = self._context_positions(row.inst, row.bits)
-            subj = [i + 1 for i in sorted(row.inst.subj_indices)]
-            obj = [i + 1 for i in sorted(row.inst.obj_indices)]
-            keep = sorted({0, *ctx, *subj, *obj})
+            keep, seg = _kept_positions(row.inst, row.bits)
             ids = [row.seq.ids[p] for p in keep]
             if row.id_override:
                 ids = [row.id_override.get(p, i) for p, i in zip(keep, ids)]
-            keeps.append(keep)
             id_rows.append(np.asarray(ids, dtype=np.int64))
             pos_rows.append(np.asarray(keep, dtype=np.int64))
+            seg_rows.append(seg)
         ids, pos, mask = _pad_rows(id_rows, pos_rows)
-        n, lmax = ids.shape
-        ctx_mask = np.zeros((n, lmax), dtype=np.float64)
-        subj_mask = np.zeros((n, lmax), dtype=np.float64)
-        obj_mask = np.zeros((n, lmax), dtype=np.float64)
-        for i, row in enumerate(rows):
-            ctx = set(self._context_positions(row.inst, row.bits))
-            subj = {j + 1 for j in row.inst.subj_indices}
-            obj = {j + 1 for j in row.inst.obj_indices}
-            for col, p in enumerate(keeps[i]):
-                if p in ctx:
-                    ctx_mask[i, col] = 1.0
-                elif p in subj:
-                    subj_mask[i, col] = 1.0
-                elif p in obj:
-                    obj_mask[i, col] = 1.0
+        segments = np.full(ids.shape, _SEG_CLS, dtype=np.int64)
+        for i, seg in enumerate(seg_rows):
+            segments[i, :len(seg)] = seg
+        ctx_mask, subj_mask, obj_mask = (
+            (segments == code).astype(np.float64) for code in (_SEG_CTX, _SEG_SUBJ, _SEG_OBJ)
+        )
         return ids, pos, mask, ctx_mask, subj_mask, obj_mask
 
     @staticmethod
@@ -302,7 +317,8 @@ class Model:
         }
         return logits, fwd
 
-    def _relation_backward(self, fwd, dlogits, grads):
+    def _relation_backward(self, fwd, dlogits, grads) -> np.ndarray:
+        """Accumulate parameter gradients; return the input-embedding gradient."""
         feat = fwd["feat"]
         _accum(grads, "rel_w", feat.T @ dlogits)
         _accum(grads, "rel_b", dlogits.sum(axis=0))
@@ -313,15 +329,15 @@ class Model:
             dpool = dfeat[:, s * d:(s + 1) * d]
             safe = np.maximum(counts, 1.0)
             dh += (dpool / safe[:, None])[:, None, :] * pool_mask[:, :, None]
-        enc_grads, _ = encoder_backward(self.params, self.config, fwd["cache"], dh)
+        enc_grads, dx0 = encoder_backward(self.params, self.config, fwd["cache"], dh)
         for name, g in enc_grads.items():
             _accum(grads, name, g)
+        return dx0
 
     # ------------------------------------------------------------------
     # public single-instance operations
 
     def encode(self, seq: MaskedSequence) -> EncoderOutput:
-        self._check_length(seq)
         ids, pos, mask = self._full_batch([seq])
         h, attns, _ = encoder_forward(self.params, self.config, ids, pos, mask)
         return EncoderOutput(hidden=h[0], attentions=tuple(a[0] for a in attns))
@@ -454,8 +470,6 @@ class Model:
             bits = t.rationale_bits
             if bits is None:
                 bits = (0,) * len(inst.tokens)
-            if self.ablate == ABLATE_RATIONALE:
-                bits = self.full_rationale_bits(inst)
             rel_rows.append(_RestrictedRow(seq, inst, tuple(bits)))
             rel_targets.append(t.relation_index)
         if rel_rows:
@@ -487,6 +501,7 @@ class Model:
         nrc_threshold: float = 0.5,
         batch_size: Optional[int] = None,
     ) -> list[Prediction]:
+        self.check_lengths(instances)
         bs = batch_size or self.config.batch_size
         out: list[Prediction] = []
         for lo in range(0, len(instances), bs):
@@ -495,7 +510,7 @@ class Model:
         return out
 
     def _predict_chunk(self, chunk, nrc_threshold):
-        seqs = [self.masked(inst) for inst in chunk]
+        seqs = [mask_entities(inst, self.token_vocab) for inst in chunk]
         ids, pos, mask = self._full_batch(seqs)
         h, _, _ = encoder_forward(self.params, self.config, ids, pos, mask)
         gate_probs: list[Optional[float]] = [None] * len(chunk)
@@ -563,17 +578,7 @@ class Model:
         # gradient of the probability itself, not the loss
         dlogits = (-probs[c] * probs)[None, :]
         dlogits[0, c] += probs[c]
-        feat = fwd["feat"]
-        grads: dict[str, np.ndarray] = {}
-        _accum(grads, "rel_w", feat.T @ dlogits)
-        dfeat = dlogits @ self.params["rel_w"].T
-        d = self.config.d_model
-        dh = np.zeros_like(fwd["h"])
-        for s, (pool_mask, counts) in enumerate((fwd["ctx"], fwd["subj"], fwd["obj"])):
-            dpool = dfeat[:, s * d:(s + 1) * d]
-            safe = np.maximum(counts, 1.0)
-            dh += (dpool / safe[:, None])[:, None, :] * pool_mask[:, :, None]
-        _, dx0 = encoder_backward(self.params, self.config, fwd["cache"], dh)
+        dx0 = self._relation_backward(fwd, dlogits, grads={})
         n = len(inst.tokens)
         out = np.zeros(n, dtype=np.float64)
         # restricted rows kept every position here, so column j+1 is token j
@@ -651,7 +656,7 @@ class Model:
         vocab = TokenVocab(header["token_vocab"])
         relations = tuple(header["relations"])
         ablate = header["ablate"]
-        n_classes = len(relations) + (1 if ablate == ABLATE_GATE else 0)
+        n_classes = len(class_labels(relations, ablate))
         specs = param_specs(config, len(vocab), n_classes)
         declared = [(name, tuple(shape)) for name, shape in header["params"]]
         expected = [(name, shape) for name, shape, _d, _i in specs]

@@ -6,9 +6,8 @@ the shortest dependency paths from that anchor to each entity span, and
 emit a syntactic rule matching the trigger words with those paths.
 
 Two sources are supported.  ``train_gold`` pairs gold labels with the
-training-time rationale (rule annotation when one exists, otherwise the
-model's predicted rationale); instances a manual rule already matches are
-skipped by default.  ``test_predicted`` uses the model's own labels and
+model's predicted rationale; instances a manual rule already matches are
+skipped.  ``test_predicted`` uses the model's own labels and
 rationales on unlabelled data, so rule induction also works transductively.
 """
 
@@ -18,7 +17,6 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 from .corpus import (
-    ExplanationLabels,
     NO_RELATION,
     RelationInstance,
     shortest_dep_path,
@@ -30,7 +28,7 @@ from .rules import (
     GEN_TRAIN,
     RuleSet,
     SyntacticRule,
-    match_rule,
+    first_match,
 )
 
 TRAIN_GOLD = "train_gold"
@@ -45,8 +43,6 @@ class RuleGenError(Exception):
 @dataclass(frozen=True)
 class GenConfig:
     source: str = TRAIN_GOLD
-    skip_if_manual_match: bool = True
-    dedupe: bool = True
 
     def __post_init__(self) -> None:
         if self.source not in _SOURCES:
@@ -85,7 +81,6 @@ def generate_rule(
     label: str,
     rationale: Sequence[int],
     manual_rules: Optional[RuleSet] = None,
-    skip_if_manual_match: bool = True,
 ) -> Optional[SyntacticRule]:
     """Induce one syntactic rule, or None when the instance yields nothing.
 
@@ -94,10 +89,8 @@ def generate_rule(
     """
     if label == NO_RELATION:
         return None
-    if skip_if_manual_match and manual_rules is not None:
-        for rule in manual_rules:
-            if match_rule(rule, inst) is not None:
-                return None
+    if manual_rules is not None and first_match(manual_rules, inst) is not None:
+        return None
     n = len(inst.tokens)
     if len(rationale) != n:
         raise RuleGenError(
@@ -147,29 +140,23 @@ def generate_ruleset(
     instances: Sequence[RelationInstance],
     manual_rules: Optional[RuleSet],
     config: GenConfig,
-    rule_annotations: Optional[dict[str, ExplanationLabels]] = None,
     nrc_threshold: float = 0.5,
 ) -> RuleSet:
     """Induce rules over a partition, in instance order.
 
-    ``train_gold`` keeps gold labels and prefers rule annotations over the
-    model's rationale; ``test_predicted`` trusts the model for both.
+    ``train_gold`` keeps gold labels and takes the model's rationale;
+    ``test_predicted`` trusts the model for both.
     """
     provenance = GEN_TRAIN if config.source == TRAIN_GOLD else GEN_TEST
-    annotations = rule_annotations or {}
     labelled: list[tuple[RelationInstance, str, tuple[int, ...]]] = []
     if config.source == TRAIN_GOLD:
         positives = [i for i in instances if i.gold_relation != NO_RELATION]
         predictions = {p.instance_id: p for p in model.predict_batch(positives)}
         for inst in positives:
-            annotation = annotations.get(inst.id)
-            if annotation is not None:
-                bits = annotation.bits
-            else:
-                rationale = predictions[inst.id].rationale
-                bits = tuple(
-                    1 if i in rationale else 0 for i in range(len(inst.tokens))
-                )
+            rationale = predictions[inst.id].rationale
+            bits = tuple(
+                1 if i in rationale else 0 for i in range(len(inst.tokens))
+            )
             labelled.append((inst, inst.gold_relation, bits))
     else:
         predictions_list = model.predict_batch(list(instances), nrc_threshold=nrc_threshold)
@@ -190,16 +177,14 @@ def generate_ruleset(
             label,
             bits,
             manual_rules=manual_rules,
-            skip_if_manual_match=config.skip_if_manual_match,
         )
         if rule is None:
             continue
         rule = replace(rule, provenance=provenance)
-        if config.dedupe:
-            key = _rule_key(rule)
-            if key in seen:
-                continue
-            seen.add(key)
+        key = _rule_key(rule)
+        if key in seen:
+            continue
+        seen.add(key)
         counter += 1
         rules.append(replace(rule, id=f"{provenance}-{counter:04d}"))
     return RuleSet(rules)

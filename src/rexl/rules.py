@@ -34,14 +34,13 @@ multi-word.  Path steps are ``<deprel`` (towards the root), ``>deprel``
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .corpus import (
     DOWN,
     UP,
-    CorpusError,
     DepPath,
     ExplanationLabels,
     MaskedSequence,
@@ -49,8 +48,6 @@ from .corpus import (
     PathStep,
     RelationInstance,
     SOURCE_RULE,
-    TokenVocab,
-    mask_entities,
     shortest_dep_path,
     token_depth,
 )
@@ -377,10 +374,10 @@ def save_rules(rules: RuleSet, path: str | Path) -> None:
 
 
 def _match_surface(rule: SurfaceRule, inst: RelationInstance,
-                   seq: MaskedSequence) -> Optional[RuleMatch]:
+                   seq: Optional[MaskedSequence]) -> Optional[RuleMatch]:
     if rule.subj_type != inst.subj_type.upper() or rule.obj_type != inst.obj_type.upper():
         return None
-    symbols = seq.symbols
+    symbols = inst.masked_symbols if seq is None else seq.symbols
     n = len(symbols)
     subj_lo = inst.subj_span[0] + 1  # +1 for [CLS]
     subj_hi = inst.subj_span[1] + 1
@@ -417,9 +414,8 @@ def _match_surface(rule: SurfaceRule, inst: RelationInstance,
     for start in range(1, n + 1):  # [CLS] at 0 never participates
         literal_positions = match_from(0, start)
         if literal_positions is not None:
-            trigger = frozenset(
-                seq.token_map[p] for p in literal_positions  # type: ignore[misc]
-            )
+            # masked position p holds original token p - 1
+            trigger = frozenset(p - 1 for p in literal_positions)
             return RuleMatch(rule.id, inst.id, rule.label, trigger)
     return None
 
@@ -488,45 +484,40 @@ def _match_syntactic(rule: SyntacticRule, inst: RelationInstance) -> Optional[Ru
 
 
 def match_rule(rule: Rule, inst: RelationInstance,
-               seq: Optional[MaskedSequence] = None,
-               vocab: Optional[TokenVocab] = None) -> Optional[RuleMatch]:
+               seq: Optional[MaskedSequence] = None) -> Optional[RuleMatch]:
     """Match one rule against one instance.
 
-    Surface rules work on the masked sequence; pass ``seq`` to reuse one, or
-    ``vocab`` to build it here.  When a rule matches in several places only
-    the first match (smallest trigger position) is reported.
+    Surface rules work on the masked symbols; pass ``seq`` to reuse a
+    masked sequence.  When a rule matches in several places only the first
+    match (smallest trigger position) is reported.
     """
     if isinstance(rule, SurfaceRule):
-        if seq is None:
-            if vocab is None:
-                # symbol comparison only needs forms, ids are irrelevant here
-                vocab = TokenVocab.build([inst])
-            seq = mask_entities(inst, vocab)
         return _match_surface(rule, inst, seq)
     return _match_syntactic(rule, inst)
 
 
-def match_all(rules: RuleSet, inst: RelationInstance,
-              seq: Optional[MaskedSequence] = None) -> list[RuleMatch]:
-    """All matching rules for an instance, in rule-set order."""
-    if seq is None:
-        vocab = TokenVocab.build([inst])
-        seq = mask_entities(inst, vocab)
-    out = []
+def _matches(rules: RuleSet, inst: RelationInstance) -> Iterator[RuleMatch]:
     for rule in rules:
-        m = match_rule(rule, inst, seq=seq)
+        m = match_rule(rule, inst)
         if m is not None:
-            out.append(m)
-    return out
+            yield m
 
 
-def predict_with_rules(rules: RuleSet, inst: RelationInstance,
-                       seq: Optional[MaskedSequence] = None) -> str:
+def first_match(rules: RuleSet, inst: RelationInstance) -> Optional[RuleMatch]:
+    """The match of the first rule in rule-set order that matches, if any;
+    no later rule is tried."""
+    return next(_matches(rules, inst), None)
+
+
+def match_all(rules: RuleSet, inst: RelationInstance) -> list[RuleMatch]:
+    """All matching rules for an instance, in rule-set order."""
+    return list(_matches(rules, inst))
+
+
+def predict_with_rules(rules: RuleSet, inst: RelationInstance) -> str:
     """Label from the first matching rule, NO_RELATION when none match."""
-    matches = match_all(rules, inst, seq=seq)
-    if matches:
-        return matches[0].label
-    return NO_RELATION
+    m = first_match(rules, inst)
+    return NO_RELATION if m is None else m.label
 
 
 def annotate_explanations(rules: RuleSet, instances: Iterable[RelationInstance],

@@ -28,6 +28,7 @@ from .corpus import (
     NO_RELATION,
     RelationInstance,
     SOURCE_LATENT,
+    mask_entities,
 )
 from .evalmetrics import rc_micro
 from .neural import (
@@ -220,7 +221,8 @@ def train(
             "the relation and rationale heads start cold",
             stacklevel=2,
         )
-    seqs = {inst.id: model.masked(inst) for inst in instances}
+    model.check_lengths([*instances, *corpus.dev])
+    seqs = {inst.id: mask_entities(inst, model.token_vocab) for inst in instances}
     positives = [inst for inst in instances if inst.gold_relation != NO_RELATION]
     for inst in positives:
         if inst.gold_relation not in model.relation_vocab:

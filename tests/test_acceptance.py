@@ -310,12 +310,10 @@ def test_generated_rules_rematch_their_source_instances(corpus, manual_rules,
 
 def test_merged_rules_double_recall_and_approach_neural_f1(corpus,
                                                            manual_rules,
-                                                           annotations,
                                                            full_models):
     model, _ = full_models[0]
     gen_train = generate_ruleset(model, list(corpus.train), manual_rules,
-                                 GenConfig(source=TRAIN_GOLD),
-                                 rule_annotations=annotations)
+                                 GenConfig(source=TRAIN_GOLD))
     gen_test = generate_ruleset(model, list(corpus.test), manual_rules,
                                 GenConfig(source=TEST_PREDICTED))
     merged = merge_rulesets([manual_rules, gen_train, gen_test])

@@ -5,7 +5,9 @@ import yaml
 from click.testing import CliRunner
 
 from rexl.cli import main
-from rexl.rules import load_rules
+from rexl.corpus import load_corpus
+from rexl.rulegen import merge_rulesets
+from rexl.rules import first_match, load_rules, predict_with_rules
 
 
 GEN_CONFIG = {
@@ -184,6 +186,40 @@ class TestMergeOrder:
         for i in flipped:
             assert {first[i], second[i]} == {"per:employee_of",
                                              "per:schools_attended"}
+
+
+class TestRunRules:
+    def test_output_agrees_with_predict_with_rules(self, workspace, tmp_path):
+        root, runner = workspace
+        extra = tmp_path / "extra.txt"
+        extra.write_text(
+            "id: extra-01\n"
+            "kind: syntactic\n"
+            "label: per:employee_of\n"
+            "trigger: lemma=work|serve\n"
+            "subject: SUBJ_PERSON = >nsubj\n"
+            "object: OBJ_ORGANIZATION = >obl\n"
+        )
+        files = [root / "manual_rules.txt", extra]
+        out = tmp_path / "preds.jsonl"
+        args = ["run-rules", "--data", str(root / "data"), "--split", "test",
+                "--out", str(out)]
+        for f in files:
+            args += ["--rules", str(f)]
+        _invoke(runner, *args)
+        rows = {r["id"]: r for r in map(json.loads, out.read_text().splitlines())}
+
+        rules = merge_rulesets([load_rules(f) for f in files])
+        test = load_corpus(root / "data").test
+        assert set(rows) == {inst.id for inst in test}
+        matched = 0
+        for inst in test:
+            row = rows[inst.id]
+            assert row["label"] == predict_with_rules(rules, inst), inst.id
+            m = first_match(rules, inst)
+            assert row["rationale"] == ([] if m is None else sorted(m.trigger_tokens))
+            matched += m is not None
+        assert matched > 0
 
 
 class TestFailures:

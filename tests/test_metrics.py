@@ -74,6 +74,15 @@ class TestRationaleOverlap:
         assert report.f1 == 0.0
         assert report.support["instances"] == 1
 
+    def test_missing_predictions_are_counted(self):
+        # an empty prediction is present, an absent one is missing; ids with
+        # an empty gold set are not scored, so they are never missing
+        report = ec_overlap({"a": [], "b": [3]}, {"a": [1], "b": [3], "c": [4], "d": []})
+        assert report.support == {"instances": 3, "missing": 1}
+        assert report.f1 == 1 / 3
+        assert "missing" in report.to_text()
+        assert ec_overlap({}, {}).support == {"instances": 0, "missing": 0}
+
     def test_nothing_to_score(self):
         report = ec_overlap({"a": [1]}, {})
         assert report.support["instances"] == 0

@@ -152,6 +152,22 @@ class TestHeads:
         with pytest.raises(SequenceTooLongError):
             small.predict(corpus.train[0])
 
+    def test_every_too_long_id_is_named_once_before_any_work(self, tiny_corpus, monkeypatch):
+        corpus, _ = tiny_corpus
+        lengths = sorted(len(inst.tokens) + 1 for inst in corpus.train)
+        limit = lengths[-2] - 1  # at least the two longest exceed it
+        cfg = ModelConfig(d_model=16, n_layers=1, n_heads=2, max_seq_len=limit, seed=3)
+        small = Model.create(cfg, corpus.token_vocab, corpus.relation_vocab)
+        too_long = [i.id for i in corpus.train if len(i.tokens) + 1 > limit]
+        assert len(too_long) >= 2
+        monkeypatch.setattr(Model, "_predict_chunk", lambda *a: pytest.fail("encoded"))
+        with pytest.raises(SequenceTooLongError) as err:
+            small.predict_batch(list(corpus.train))
+        message = str(err.value)
+        assert message.startswith(f"{len(too_long)} masked sequence(s) exceed")
+        for iid in too_long:
+            assert f"{iid} (" in message
+
 
 class TestFaithfulness:
     def test_excluded_token_identity_cannot_move_the_distribution(self, tiny_corpus, model):

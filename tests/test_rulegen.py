@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rexl import synth
-from rexl.corpus import ExplanationLabels, NO_RELATION, SOURCE_RULE
-from rexl.neural import Model, ModelConfig
+from rexl.corpus import NO_RELATION
+from rexl.neural import Model, ModelConfig, Prediction
 from rexl.rulegen import (
     GenConfig,
     RuleGenError,
@@ -98,9 +98,6 @@ class TestSingleRule:
         bits = _bits(family_instance, 2)
         assert generate_rule(family_instance, "per:children", bits,
                              manual_rules=manual) is None
-        kept = generate_rule(family_instance, "per:children", bits,
-                             manual_rules=manual, skip_if_manual_match=False)
-        assert kept is not None
 
     def test_non_matching_manual_rules_do_not_suppress(self, family_instance):
         manual = parse_rules(
@@ -116,28 +113,26 @@ class TestSingleRule:
         assert rule is not None
 
 
+class _FixedRationale:
+    """Stands in for a model: predicts the gold label with a fixed rationale."""
+
+    def __init__(self, *rationale):
+        self.rationale = rationale
+
+    def predict_batch(self, instances, nrc_threshold=0.5):
+        return [Prediction(inst.id, inst.gold_relation, self.rationale, gate_prob=None)
+                for inst in instances]
+
+
 class TestRulesetGeneration:
-    def test_gold_source_ids_and_dedupe(self, setup, family_instance):
-        model, _, _ = setup
-        ann = {"family-0": ExplanationLabels(bits=_bits(family_instance, 2),
-                                             source=SOURCE_RULE)}
+    def test_gold_source_ids_and_dedupe(self, family_instance):
         rules = generate_ruleset(
-            model, [family_instance, family_instance], None,
-            GenConfig(source=TRAIN_GOLD), rule_annotations=ann,
+            _FixedRationale(2), [family_instance, family_instance], None,
+            GenConfig(source=TRAIN_GOLD),
         )
         assert len(rules) == 1
         assert rules[0].id == f"{GEN_TRAIN}-0001"
         assert rules[0].provenance == GEN_TRAIN
-
-    def test_duplicates_survive_without_dedupe(self, setup, family_instance):
-        model, _, _ = setup
-        ann = {"family-0": ExplanationLabels(bits=_bits(family_instance, 2),
-                                             source=SOURCE_RULE)}
-        rules = generate_ruleset(
-            model, [family_instance, family_instance], None,
-            GenConfig(source=TRAIN_GOLD, dedupe=False), rule_annotations=ann,
-        )
-        assert [r.id for r in rules] == [f"{GEN_TRAIN}-0001", f"{GEN_TRAIN}-0002"]
 
     def test_predicted_source_uses_model_labels(self, setup):
         model, corpus, _ = setup
@@ -150,13 +145,9 @@ class TestRulesetGeneration:
             assert rule.label != NO_RELATION
             assert rule.label in model.class_labels
 
-    def test_generated_rules_round_trip_through_text(self, setup, family_instance):
-        model, _, _ = setup
-        ann = {"family-0": ExplanationLabels(bits=_bits(family_instance, 2),
-                                             source=SOURCE_RULE)}
+    def test_generated_rules_round_trip_through_text(self, family_instance):
         rules = generate_ruleset(
-            model, [family_instance], None, GenConfig(source=TRAIN_GOLD),
-            rule_annotations=ann,
+            _FixedRationale(2), [family_instance], None, GenConfig(source=TRAIN_GOLD),
         )
         back = parse_rules(format_rules(rules))
         assert len(back) == len(rules) == 1

@@ -1,9 +1,13 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rexl import synth
+from rexl.attribution import all_between
 from rexl.corpus import DOWN, NO_RELATION, TokenVocab, UP, mask_entities
+from rexl.rulegen import generate_rule, merge_rulesets
 from rexl.rules import (
     GAP,
     LITERAL,
@@ -12,6 +16,7 @@ from rexl.rules import (
     SurfaceRule,
     SyntacticRule,
     annotate_explanations,
+    first_match,
     format_rules,
     match_all,
     match_rule,
@@ -389,6 +394,45 @@ class TestArbitration:
         rules = parse_rules(BIRTH_RULE + "\n" + other)
         ids = [m.rule_id for m in match_all(rules, birth_instance)]
         assert ids == ["manual-01", "manual-09"]
+
+
+class TestFirstMatch:
+    def test_first_match_is_the_head_of_match_all_without_a_vocabulary(self, monkeypatch):
+        spec = synth.GeneratorSpec(train_size=300, dev_size=60, test_size=60)
+        corpus = synth.gen_synthetic(spec, 11)
+        # induced rules: the tokens between the entities of each train positive
+        induced = []
+        for inst in corpus.train:
+            if inst.gold_relation == NO_RELATION:
+                continue
+            between = set(all_between(inst))
+            bits = tuple(int(i in between) for i in range(len(inst.tokens)))
+            rule = generate_rule(inst, inst.gold_relation, bits)
+            if rule is not None:
+                induced.append(replace(rule, id=f"ind-{len(induced)}"))
+        rules = merge_rulesets([synth.seed_rules(spec), RuleSet(induced)])
+        assert any(isinstance(r, SurfaceRule) for r in rules)
+        assert sum(isinstance(r, SyntacticRule) for r in rules) > 20
+
+        builds = []
+        real_build = TokenVocab.build.__func__
+        monkeypatch.setattr(TokenVocab, "build", classmethod(
+            lambda cls, insts: builds.append(1) or real_build(cls, insts)))
+        hits = 0
+        for inst in corpus.all_instances():
+            every = match_all(rules, inst)
+            first = first_match(rules, inst)
+            assert first == (every[0] if every else None), inst.id
+            assert predict_with_rules(rules, inst) == (
+                every[0].label if every else NO_RELATION)
+            hits += first is not None
+        assert builds == []
+        assert 0 < hits < len(corpus.train) + len(corpus.dev) + len(corpus.test)
+
+    def test_surface_match_is_the_same_with_or_without_a_sequence(self, birth_instance):
+        (rule,) = parse_rules(BIRTH_RULE)
+        seq = mask_entities(birth_instance, TokenVocab.build([birth_instance]))
+        assert match_rule(rule, birth_instance) == match_rule(rule, birth_instance, seq=seq)
 
 
 class TestAnnotation:

@@ -4,7 +4,7 @@ import pytest
 
 from rexl import synth
 from rexl.corpus import NO_RELATION
-from rexl.neural import ABLATE_GATE, ABLATE_RATIONALE, ModelConfig
+from rexl.neural import ABLATE_GATE, ABLATE_RATIONALE, Model, ModelConfig, SequenceTooLongError
 from rexl.rules import annotate_explanations
 from rexl.trainer import (
     EpochRecord,
@@ -28,6 +28,24 @@ def _config(seed=5, **kw):
     model = ModelConfig(d_model=16, n_layers=1, n_heads=2, batch_size=8,
                         max_seq_len=32, seed=seed)
     return TrainConfig(model=model, burn_in_epochs=1, total_epochs=3, **kw)
+
+
+class TestLengthCheck:
+    def test_too_long_train_and_dev_ids_fail_together_before_training(
+            self, small_corpus, monkeypatch):
+        corpus, ann = small_corpus
+        # at least the two longest train instances and the longest dev one exceed it
+        limit = min(sorted(len(i.tokens) + 1 for i in corpus.train)[-2],
+                    max(len(i.tokens) + 1 for i in corpus.dev)) - 1
+        train_ids = [i.id for i in corpus.train if len(i.tokens) + 1 > limit]
+        dev_ids = [i.id for i in corpus.dev if len(i.tokens) + 1 > limit]
+        assert len(train_ids) >= 2 and dev_ids
+        monkeypatch.setattr(Model, "loss_and_grads", lambda *a, **k: pytest.fail("trained"))
+        model = ModelConfig(d_model=16, n_layers=1, n_heads=2, max_seq_len=limit, seed=5)
+        with pytest.raises(SequenceTooLongError) as err:
+            train(corpus, ann, TrainConfig(model=model, burn_in_epochs=1, total_epochs=1))
+        for iid in train_ids + dev_ids:
+            assert f"{iid} (" in str(err.value)
 
 
 class TestConfig:
