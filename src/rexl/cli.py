@@ -265,6 +265,13 @@ def eval_ec(data: str, split: str, pred_path: str, rules_path: str,
     gold_expl = annotate_explanations(rules, instances)
     gold = {iid: sorted(expl.ones()) for iid, expl in gold_expl.items()}
     predicted = {iid: rec["rationale"] for iid, rec in preds.items()}
+    for inst in instances:
+        past = [i for i in predicted.get(inst.id, ()) if i >= len(inst.tokens)]
+        if past:
+            raise EvalError(
+                f"{pred_path}: {inst.id}: rationale index {past[0]} is past the "
+                f"instance's {len(inst.tokens)} tokens"
+            )
     report = ec_overlap(predicted, gold)
     manifest = RunManifest(command="eval-ec", config={"split": split})
     manifest.inputs += [data, pred_path, rules_path]
@@ -299,7 +306,7 @@ def eval_plausibility(pred_path: str, ann_path: str, out: Optional[str]) -> None
 @click.option("--mode", required=True, type=click.Choice(["gold", "predicted"]),
               help="gold: gold labels on the source split; predicted: model labels.")
 @click.option("--manual", "manual_path", type=click.Path(exists=True, dir_okay=False),
-              help="Manual rules; instances they match are skipped in gold mode.")
+              help="Manual rules; instances they match are skipped.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @click.option("--threshold", default=0.5, show_default=True, type=float)
 @_wrap_errors

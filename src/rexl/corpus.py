@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 NO_RELATION = "no_relation"
 
@@ -28,7 +28,6 @@ DOWN = "down"
 # provenance values for explanation labels
 SOURCE_RULE = "rule"
 SOURCE_LATENT = "latent"
-SOURCE_PREDICTED = "predicted"
 
 SPLITS = ("train", "dev", "test")
 
@@ -142,15 +141,12 @@ class RelationInstance:
 class MaskedSequence:
     """Entity-masked symbol sequence with a leading [CLS] position.
 
-    ``token_map[k]`` gives the original token index behind masked position
-    k, or None for [CLS].  Entity tokens are replaced one-for-one by a
-    typed placeholder symbol, so the map stays total and monotone.
+    Entity tokens are replaced one-for-one by a typed placeholder symbol,
+    so masked position k holds original token k - 1.
     """
 
-    instance_id: str
     symbols: tuple[str, ...]
     ids: tuple[int, ...]
-    token_map: tuple[Optional[int], ...]
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -169,13 +165,6 @@ class DepPath:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    def reversed(self) -> "DepPath":
-        flipped = tuple(
-            PathStep(UP if s.direction == DOWN else DOWN, s.deprel, s.optional)
-            for s in reversed(self.steps)
-        )
-        return DepPath(flipped)
 
 
 @dataclass(frozen=True)
@@ -216,14 +205,6 @@ class TokenVocab:
         return symbol in self._index
 
     @property
-    def pad_id(self) -> int:
-        return self._index[PAD]
-
-    @property
-    def cls_id(self) -> int:
-        return self._index[CLS]
-
-    @property
     def unk_id(self) -> int:
         return self._index[UNK]
 
@@ -256,10 +237,6 @@ class Corpus:
         if name not in SPLITS:
             raise CorpusError(f"unknown split {name!r}, expected one of {SPLITS}")
         return getattr(self, name)
-
-    def all_instances(self) -> Iterator[RelationInstance]:
-        for split in SPLITS:
-            yield from self.split(split)
 
     @classmethod
     def build(
@@ -408,10 +385,8 @@ def mask_entities(inst: RelationInstance, vocab: TokenVocab) -> MaskedSequence:
     """Replace entity tokens with typed placeholders and prepend [CLS]."""
     symbols = inst.masked_symbols
     return MaskedSequence(
-        instance_id=inst.id,
         symbols=symbols,
         ids=tuple(vocab.id(s) for s in symbols),
-        token_map=(None, *range(len(inst.tokens))),
     )
 
 

@@ -56,6 +56,14 @@ def load_predictions(path: str | Path) -> dict[str, dict]:
                     raise IOFormatError(f"{path}:{lineno}: missing key {key!r}")
             if record["id"] in out:
                 raise IOFormatError(f"{path}:{lineno}: duplicate id {record['id']!r}")
+            rationale = record["rationale"]
+            if not (isinstance(rationale, list)
+                    and all(type(i) is int and i >= 0 for i in rationale)
+                    and len(set(rationale)) == len(rationale)):
+                raise IOFormatError(
+                    f"{path}:{lineno}: {record['id']!r}: rationale must be a list of "
+                    f"distinct non-negative token indices, got {rationale!r}"
+                )
             out[record["id"]] = record
     return out
 

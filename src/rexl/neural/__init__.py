@@ -1,5 +1,5 @@
 from .config import ModelConfig
-from .losses import binary_cross_entropy, categorical_cross_entropy, joint_loss
+from .losses import binary_cross_entropy, categorical_cross_entropy
 from .model import (
     ABLATE_GATE,
     ABLATE_RATIONALE,
@@ -25,6 +25,5 @@ __all__ = [
     "SequenceTooLongError",
     "binary_cross_entropy",
     "categorical_cross_entropy",
-    "joint_loss",
     "linear_schedule",
 ]

@@ -1,14 +1,15 @@
-"""Loss functions shared by training and the public loss contract.
+"""Loss functions: the logit-space formulas training optimises, and the
+probability-space cross entropies of the public loss contract.
 
-Probabilities are clamped into (1e-12, 1 - 1e-12) before any log so that
-hard 0/1 inputs stay finite.  The joint loss always reports all three
-components; for instances without a relation the rationale and relation
-terms are exactly zero.
+Each cross entropy has one definition.  The probability-space losses clamp
+into (1e-12, 1 - 1e-12), so that hard 0/1 inputs stay finite, map the
+probabilities to logits (log p - log(1 - p) for the binary loss, log p
+for the categorical one) and call the training formula.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,48 +22,15 @@ def _clamp(p: np.ndarray | float) -> np.ndarray | float:
 
 def binary_cross_entropy(prob, target) -> float:
     p = _clamp(np.asarray(prob, dtype=np.float64))
-    t = np.asarray(target, dtype=np.float64)
-    return float(np.mean(-(t * np.log(p) + (1.0 - t) * np.log(1.0 - p))))
+    return float(np.mean(bce_with_logits(np.log(p) - np.log1p(-p), target)))
 
 
 def categorical_cross_entropy(probs: Sequence[float], index: int) -> float:
     p = _clamp(np.asarray(probs, dtype=np.float64))
-    return float(-np.log(p[index]))
+    return float(-log_softmax(np.log(p))[index])
 
 
-def joint_loss(
-    gate_prob: float,
-    has_relation: bool,
-    rationale_probs: Optional[np.ndarray] = None,
-    rationale_targets: Optional[np.ndarray] = None,
-    relation_probs: Optional[np.ndarray] = None,
-    relation_index: Optional[int] = None,
-) -> tuple[float, dict[str, float]]:
-    """Joint objective: gate + rationale + relation cross entropies.
-
-    The rationale term averages per-token binary cross entropy over the
-    provided targets (callers pass only loss-eligible tokens).  The
-    relation and rationale terms apply only when ``has_relation``.
-    """
-    components = {
-        "gate": binary_cross_entropy(gate_prob, 1.0 if has_relation else 0.0),
-        "rationale": 0.0,
-        "relation": 0.0,
-    }
-    if has_relation:
-        if rationale_probs is not None and len(np.atleast_1d(rationale_probs)) > 0:
-            if rationale_targets is None:
-                raise ValueError("rationale_probs given without rationale_targets")
-            components["rationale"] = binary_cross_entropy(rationale_probs, rationale_targets)
-        if relation_probs is not None:
-            if relation_index is None:
-                raise ValueError("relation_probs given without relation_index")
-            components["relation"] = categorical_cross_entropy(relation_probs, relation_index)
-    total = components["gate"] + components["rationale"] + components["relation"]
-    return total, components
-
-
-# logit-space helpers used inside training steps
+# logit-space formulas used inside training steps
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

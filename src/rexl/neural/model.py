@@ -28,7 +28,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ..corpus import (
-    CLS,
     MaskedSequence,
     NO_RELATION,
     RelationInstance,
@@ -40,7 +39,8 @@ from .losses import bce_with_logits, log_softmax, sigmoid
 from .net import encoder_backward, encoder_forward, softmax
 
 CHECKPOINT_MAGIC = b"RXF1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_CHECKPOINT_DTYPE = np.dtype("<f8")  # the compute dtype, so a loaded model is the trained one
 
 ABLATE_GATE = "nrc"
 ABLATE_RATIONALE = "ec"
@@ -342,22 +342,13 @@ class Model:
         h, attns, _ = encoder_forward(self.params, self.config, ids, pos, mask)
         return EncoderOutput(hidden=h[0], attentions=tuple(a[0] for a in attns))
 
-    def gate_score(self, enc: EncoderOutput) -> float:
-        if self.ablate == ABLATE_GATE:
-            raise ValueError("gate head is disabled in this model")
-        z = enc.hidden[0] @ self.params["gate_w"] + self.params["gate_b"][0]
-        return float(sigmoid(np.asarray([z]))[0])
-
     def rationale_scores(self, enc: EncoderOutput, inst: RelationInstance) -> np.ndarray:
         """Per-original-token importance scores; entity positions come back 0."""
         if self.ablate == ABLATE_RATIONALE:
             raise ValueError("rationale head is disabled in this model")
         n = len(inst.tokens)
         z = enc.hidden[1:n + 1] @ self.params["tag_w"] + self.params["tag_b"][0]
-        scores = sigmoid(z)
-        for i in inst.entity_indices:
-            scores[i] = 0.0
-        return scores
+        return _token_scores(sigmoid(z), inst)
 
     def relation_distribution(
         self,
@@ -526,13 +517,8 @@ class Model:
             zt = h @ self.params["tag_w"] + self.params["tag_b"][0]
             st = sigmoid(zt)
             for i, inst in enumerate(chunk):
-                n = len(inst.tokens)
-                entity = inst.entity_indices
-                bits = tuple(
-                    1 if (j not in entity and st[i, j + 1] >= 0.5) else 0
-                    for j in range(n)
-                )
-                bit_rows.append(bits)
+                scores = _token_scores(st[i, 1:], inst)
+                bit_rows.append(tuple((scores >= 0.5).astype(int).tolist()))
 
         need_label = []
         for i, inst in enumerate(chunk):
@@ -633,7 +619,7 @@ class Model:
             fh.write(struct.pack("<I", len(blob)))
             fh.write(blob)
             for name, _shape, _d, _i in self.specs:
-                fh.write(self.params[name].astype("<f4").tobytes())
+                fh.write(self.params[name].astype(_CHECKPOINT_DTYPE).tobytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "Model":
@@ -666,15 +652,25 @@ class Model:
         offset = 8 + hlen
         for name, shape in expected:
             count = int(np.prod(shape))
-            nbytes = count * 4
+            nbytes = count * _CHECKPOINT_DTYPE.itemsize
             if offset + nbytes > len(raw):
                 raise CheckpointError(f"{path}: truncated tensor data at {name}")
-            flat = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-            params[name] = flat.astype(np.float64).reshape(shape)
+            flat = np.frombuffer(raw, dtype=_CHECKPOINT_DTYPE, count=count, offset=offset)
+            # astype copies, so each parameter owns writable memory
+            params[name] = flat.reshape(shape).astype(np.float64)
             offset += nbytes
         if offset != len(raw):
             raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
         return cls(config, vocab, relations, ablate=ablate, params=params)
+
+
+def _token_scores(tag_probs: np.ndarray, inst: RelationInstance) -> np.ndarray:
+    """Rationale scores per original token from tag probabilities that start
+    at the first token; entity positions come back 0."""
+    scores = np.array(tag_probs[:len(inst.tokens)], dtype=np.float64)
+    for i in inst.entity_indices:
+        scores[i] = 0.0
+    return scores
 
 
 def _accum(grads: dict, name: str, value: np.ndarray) -> None:

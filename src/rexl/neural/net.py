@@ -2,8 +2,9 @@
 
 Every forward helper returns its output together with the cache needed by
 the matching backward helper.  Gradients are accumulated into a flat
-name -> array dict mirroring the parameter dict.  All math is float64;
-checkpoints downcast to float32 on disk only.
+name -> array dict mirroring the parameter dict.  All math is float64,
+and checkpoints store float64 too, so a loaded model computes exactly
+what the trained one did.
 
 The encoder is pre-norm without a final normalisation, so a model whose
 attention-output and feed-forward weights are all zero reduces to the

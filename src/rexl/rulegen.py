@@ -6,9 +6,10 @@ the shortest dependency paths from that anchor to each entity span, and
 emit a syntactic rule matching the trigger words with those paths.
 
 Two sources are supported.  ``train_gold`` pairs gold labels with the
-model's predicted rationale; instances a manual rule already matches are
-skipped.  ``test_predicted`` uses the model's own labels and
-rationales on unlabelled data, so rule induction also works transductively.
+model's predicted rationale.  ``test_predicted`` uses the model's own
+labels and rationales on unlabelled data, so rule induction also works
+transductively.  Both skip instances a manual rule already matches, before
+the model sees them.
 """
 
 from __future__ import annotations
@@ -145,14 +146,18 @@ def generate_ruleset(
     """Induce rules over a partition, in instance order.
 
     ``train_gold`` keeps gold labels and takes the model's rationale;
-    ``test_predicted`` trusts the model for both.
+    ``test_predicted`` trusts the model for both.  Instances a manual rule
+    matches are dropped before predicting.
     """
     provenance = GEN_TRAIN if config.source == TRAIN_GOLD else GEN_TEST
+    if config.source == TRAIN_GOLD:
+        instances = [i for i in instances if i.gold_relation != NO_RELATION]
+    if manual_rules is not None:
+        instances = [i for i in instances if first_match(manual_rules, i) is None]
     labelled: list[tuple[RelationInstance, str, tuple[int, ...]]] = []
     if config.source == TRAIN_GOLD:
-        positives = [i for i in instances if i.gold_relation != NO_RELATION]
-        predictions = {p.instance_id: p for p in model.predict_batch(positives)}
-        for inst in positives:
+        predictions = {p.instance_id: p for p in model.predict_batch(instances)}
+        for inst in instances:
             rationale = predictions[inst.id].rationale
             bits = tuple(
                 1 if i in rationale else 0 for i in range(len(inst.tokens))
@@ -176,7 +181,6 @@ def generate_ruleset(
             inst,
             label,
             bits,
-            manual_rules=manual_rules,
         )
         if rule is None:
             continue

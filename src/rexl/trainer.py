@@ -256,7 +256,7 @@ def train(
             for inst in batch:
                 seq = seqs[inst.id]
                 items.append((inst, seq, _targets_for(
-                    model, inst, rule_annotations, pseudo, burn_in, ablate,
+                    model, inst, rule_annotations, pseudo, ablate,
                 )))
             stats, grads = model.loss_and_grads(items, train=True, rng=rng)
             if not np.isfinite(stats["total"]):
@@ -317,53 +317,31 @@ def _targets_for(
     inst: RelationInstance,
     rule_annotations: dict[str, ExplanationLabels],
     pseudo: dict[str, ExplanationLabels],
-    burn_in: bool,
     ablate: Optional[str],
 ) -> InstanceTargets:
+    """Supervision for one instance: the cases differ only in the
+    rationale bits and whether the rationale head trains on them."""
     positive = inst.gold_relation != NO_RELATION
+    if not positive and ablate != ABLATE_GATE:
+        return InstanceTargets(has_relation=False)
     if ablate == ABLATE_RATIONALE:
         # no rationale head: the relation head trains on the full context
         # for every positive from the first epoch
-        if positive:
-            return InstanceTargets(
-                has_relation=True,
-                relation_index=model.class_index(inst.gold_relation),
-                rationale_bits=model.full_rationale_bits(inst),
-                train_rationale=False,
-                train_relation=True,
-            )
-        return InstanceTargets(has_relation=False)
-
-    if not positive:
-        if ablate == ABLATE_GATE:
-            # gateless models learn negatives through the extra class
-            return InstanceTargets(
-                has_relation=False,
-                relation_index=model.class_index(NO_RELATION),
-                rationale_bits=(0,) * len(inst.tokens),
-                train_rationale=False,
-                train_relation=True,
-            )
-        return InstanceTargets(has_relation=False)
-
-    annotation = rule_annotations.get(inst.id)
-    if annotation is not None:
-        return InstanceTargets(
-            has_relation=True,
-            relation_index=model.class_index(inst.gold_relation),
-            rationale_bits=annotation.bits,
-            train_rationale=True,
-            train_relation=True,
-        )
-    chosen = pseudo.get(inst.id)
-    if chosen is None:
-        # burn-in: unannotated positives only reach the gate
-        return InstanceTargets(has_relation=True)
+        bits, train_rationale = model.full_rationale_bits(inst), False
+    elif not positive:
+        # gateless models learn negatives through the extra class
+        bits, train_rationale = (0,) * len(inst.tokens), False
+    else:
+        chosen = rule_annotations.get(inst.id, pseudo.get(inst.id))
+        if chosen is None:
+            # burn-in: unannotated positives only reach the gate
+            return InstanceTargets(has_relation=True)
+        bits, train_rationale = chosen.bits, True
     return InstanceTargets(
-        has_relation=True,
+        has_relation=positive,
         relation_index=model.class_index(inst.gold_relation),
-        rationale_bits=chosen.bits,
-        train_rationale=True,
+        rationale_bits=bits,
+        train_rationale=train_rationale,
         train_relation=True,
     )
 

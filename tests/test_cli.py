@@ -267,6 +267,19 @@ class TestFailures:
         )
         assert result.exit_code == 1
 
+    def test_eval_ec_rejects_an_index_past_the_tokens(self, workspace, tmp_path):
+        root, runner = workspace
+        inst = load_corpus(root / "data").test[3]
+        pred = tmp_path / "p.jsonl"
+        pred.write_text(json.dumps({"id": inst.id, "label": "x",
+                                    "rationale": [len(inst.tokens)]}) + "\n")
+        result = runner.invoke(
+            main, ["eval-ec", "--data", str(root / "data"), "--split", "test",
+                   "--pred", str(pred), "--rules", str(root / "manual_rules.txt")],
+        )
+        assert result.exit_code == 1
+        assert f"{inst.id}: rationale index {len(inst.tokens)} is past" in result.output
+
     def test_unknown_instance_id_exits_one(self, workspace):
         root, runner = workspace
         result = runner.invoke(

@@ -38,6 +38,18 @@ class TestPredictionFiles:
         with pytest.raises(IOFormatError, match="rationale"):
             load_predictions(path)
 
+    @pytest.mark.parametrize("rationale", [
+        "3", [1, -2], [1.0], [True], [2, 2], None,
+    ], ids=["not a list", "negative", "float", "bool", "repeated", "null"])
+    def test_bad_rationale_rejected_with_file_line_and_id(self, tmp_path, rationale):
+        path = tmp_path / "p.jsonl"
+        good = json.dumps({"id": "a", "label": "x", "rationale": [0, 3]})
+        bad = json.dumps({"id": "b", "label": "x", "rationale": rationale})
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(IOFormatError) as err:
+            load_predictions(path)
+        assert str(err.value).startswith(f"{path}:2: 'b': rationale")
+
     def test_bad_json_reports_the_line(self, tmp_path):
         path = tmp_path / "p.jsonl"
         path.write_text("{broken\n")

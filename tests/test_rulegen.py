@@ -118,8 +118,10 @@ class _FixedRationale:
 
     def __init__(self, *rationale):
         self.rationale = rationale
+        self.seen = []  # ids of every instance predict_batch received
 
     def predict_batch(self, instances, nrc_threshold=0.5):
+        self.seen += [inst.id for inst in instances]
         return [Prediction(inst.id, inst.gold_relation, self.rationale, gate_prob=None)
                 for inst in instances]
 
@@ -152,6 +154,23 @@ class TestRulesetGeneration:
         back = parse_rules(format_rules(rules))
         assert len(back) == len(rules) == 1
         assert back[0] == rules[0]
+
+    @pytest.mark.parametrize("source", [TRAIN_GOLD, TEST_PREDICTED])
+    def test_manual_matches_never_reach_the_model(self, source, family_instance,
+                                                  birth_instance):
+        manual = parse_rules(
+            "id: manual-01\n"
+            "kind: syntactic\n"
+            "label: per:spouse\n"
+            "trigger: word=daughter\n"
+            "subject: SUBJ_PERSON = >nmod:poss\n"
+            "object: OBJ_PERSON = >appos\n"
+        )
+        model = _FixedRationale(2)
+        rules = generate_ruleset(model, [family_instance, birth_instance], manual,
+                                 GenConfig(source=source))
+        assert model.seen == [birth_instance.id]
+        assert [r.label for r in rules] == [birth_instance.gold_relation]
 
     def test_unknown_source_rejected(self):
         with pytest.raises(ValueError, match="source"):

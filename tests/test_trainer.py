@@ -1,16 +1,26 @@
 import warnings
 
+import numpy as np
 import pytest
 
+from conftest import make_instance
 from rexl import synth
-from rexl.corpus import NO_RELATION
-from rexl.neural import ABLATE_GATE, ABLATE_RATIONALE, Model, ModelConfig, SequenceTooLongError
+from rexl.corpus import NO_RELATION, SOURCE_LATENT, SOURCE_RULE, Corpus, ExplanationLabels
+from rexl.neural import (
+    ABLATE_GATE,
+    ABLATE_RATIONALE,
+    InstanceTargets,
+    Model,
+    ModelConfig,
+    SequenceTooLongError,
+)
 from rexl.rules import annotate_explanations
 from rexl.trainer import (
     EpochRecord,
     TrainConfig,
     TrainLog,
     TrainingError,
+    _targets_for,
     train,
 )
 
@@ -120,6 +130,77 @@ class TestTraining:
         _, log = train(corpus, ann, _config())
         assert log.records[-1].loss_total < log.records[0].loss_total
         assert all(0.0 <= r.dev_f1 <= 1.0 for r in log.records)
+
+
+class TestCheckpoint:
+    def test_loaded_checkpoint_predicts_exactly_what_training_produced(
+            self, small_corpus, tmp_path):
+        corpus, ann = small_corpus
+        model, _ = train(corpus, ann, _config())
+        path = tmp_path / "m.ckpt"
+        model.save(path)
+        back = Model.load(path)
+        assert list(back.params) == list(model.params)
+        for name, value in model.params.items():
+            loaded = back.params[name]
+            assert loaded.dtype == value.dtype and np.array_equal(loaded, value), name
+            assert loaded.flags.owndata and loaded.flags.writeable, name
+        instances = [*corpus.train, *corpus.dev, *corpus.test]
+        before = model.predict_batch(instances)
+        assert any(p.label != NO_RELATION for p in before)
+        assert back.predict_batch(instances) == before
+
+
+def _table_instance(iid, relation):
+    return make_instance(
+        forms=["John", "'s", "daughter", ",", "Emma", ",", "likes", "swimming", "."],
+        heads=[2, 0, 6, 4, 2, 4, None, 6, 6],
+        deprels=["nmod:poss", "case", "nsubj", "punct", "appos", "punct",
+                 "root", "xcomp", "punct"],
+        subj_span=(0, 0), obj_span=(4, 4), relation=relation, instance_id=iid,
+    )
+
+
+_RULE_BITS = (0, 0, 1, 0, 0, 0, 0, 0, 0)
+_PSEUDO_BITS = (0, 1, 0, 0, 0, 0, 1, 0, 0)
+_FULL_BITS = (0, 1, 1, 1, 0, 1, 1, 1, 1)  # every non-entity token
+_GATE_ONLY_NEG = InstanceTargets(has_relation=False)
+_GATE_ONLY_POS = InstanceTargets(has_relation=True)
+
+
+def _both_heads(index, bits, train_rationale, has_relation=True):
+    return InstanceTargets(has_relation=has_relation, relation_index=index,
+                           rationale_bits=bits, train_rationale=train_rationale,
+                           train_relation=True)
+
+
+# columns: a negative, a rule-annotated positive, a pseudo-labelled positive
+# and an unannotated positive during burn-in; relation index 1 is per:spouse
+# and 2 the extra no_relation class of the gateless model
+_TARGET_TABLE = {
+    None: (_GATE_ONLY_NEG, _both_heads(1, _RULE_BITS, True),
+           _both_heads(1, _PSEUDO_BITS, True), _GATE_ONLY_POS),
+    ABLATE_GATE: (_both_heads(2, (0,) * 9, False, has_relation=False),
+                  _both_heads(1, _RULE_BITS, True),
+                  _both_heads(1, _PSEUDO_BITS, True), _GATE_ONLY_POS),
+    ABLATE_RATIONALE: (_GATE_ONLY_NEG, _both_heads(1, _FULL_BITS, False),
+                       _both_heads(1, _FULL_BITS, False),
+                       _both_heads(1, _FULL_BITS, False)),
+}
+
+
+@pytest.mark.parametrize("ablate", list(_TARGET_TABLE))
+def test_training_targets_follow_the_table(ablate):
+    columns = [_table_instance("neg", NO_RELATION), _table_instance("rule", "per:spouse"),
+               _table_instance("pseudo", "per:spouse"), _table_instance("cold", "per:spouse")]
+    corpus = Corpus.build(columns)
+    cfg = ModelConfig(d_model=8, n_layers=1, n_heads=2, max_seq_len=16, seed=1)
+    model = Model.create(cfg, corpus.token_vocab, ("per:children", "per:spouse"),
+                         ablate=ablate)
+    rule = {"rule": ExplanationLabels(_RULE_BITS, SOURCE_RULE)}
+    pseudo = {"pseudo": ExplanationLabels(_PSEUDO_BITS, SOURCE_LATENT)}
+    got = tuple(_targets_for(model, inst, rule, pseudo, ablate) for inst in columns)
+    assert got == _TARGET_TABLE[ablate]
 
 
 class TestAblations:
