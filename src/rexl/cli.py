@@ -22,6 +22,7 @@ from .corpus import (
     CorpusError,
     NO_RELATION,
     load_corpus,
+    load_split,
     save_corpus,
 )
 from .evalmetrics import (
@@ -90,12 +91,20 @@ def _split_option():
     )
 
 
+def _threshold_option():
+    def check(_ctx, _param, value: float) -> float:
+        if not (0.0 <= value <= 1.0):  # also true for NaN
+            raise click.BadParameter("nrc_threshold must be a probability")
+        return value
+    return click.option("--threshold", default=0.5, show_default=True, type=float,
+                        callback=check, help="Gate probability needed to call a relation present.")
+
+
 def _load_split(data: str, split: str):
-    corpus = load_corpus(data)
-    instances = corpus.split(split)
+    instances = load_split(data, split)
     if not instances:
         raise click.ClickException(f"split {split!r} in {data} is empty")
-    return list(instances)
+    return instances
 
 
 @click.group()
@@ -191,8 +200,7 @@ def train_cmd(data: str, out: str, rules_path: Optional[str],
 @click.option("--model", "model_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--threshold", default=0.5, show_default=True, type=float,
-              help="Gate probability needed to call a relation present.")
+@_threshold_option()
 @_wrap_errors
 def predict_cmd(data: str, split: str, model_path: str, out: str,
                 threshold: float) -> None:
@@ -308,7 +316,7 @@ def eval_plausibility(pred_path: str, ann_path: str, out: Optional[str]) -> None
 @click.option("--manual", "manual_path", type=click.Path(exists=True, dir_okay=False),
               help="Manual rules; instances they match are skipped.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--threshold", default=0.5, show_default=True, type=float)
+@_threshold_option()
 @_wrap_errors
 def gen_rules(data: str, split: Optional[str], model_path: str, mode: str,
               manual_path: Optional[str], out: str, threshold: float) -> None:
@@ -356,17 +364,12 @@ def run_rules(data: str, split: str, rules_paths: tuple[str, ...], out: str,
     predictions = []
     for inst in instances:
         first = first_match(merged, inst)
-        if first is not None:
-            predictions.append(Prediction(
-                instance_id=inst.id,
-                label=first.label,
-                rationale=tuple(sorted(first.trigger_tokens)),
-                gate_prob=None,
-            ))
-        else:
-            predictions.append(Prediction(
-                instance_id=inst.id, label=NO_RELATION, rationale=(), gate_prob=None,
-            ))
+        predictions.append(Prediction(
+            instance_id=inst.id,
+            label=NO_RELATION if first is None else first.label,
+            rationale=() if first is None else tuple(sorted(first.trigger_tokens)),
+            gate_prob=None,
+        ))
     Path(out).parent.mkdir(parents=True, exist_ok=True)
     save_predictions(out, predictions)
     manifest.outputs.append(out)
@@ -398,10 +401,9 @@ def explain(data: str, split: str, instance_id: str, model_path: str,
             method: str, topn: int, out: Optional[str]) -> None:
     """Show which tokens drive the prediction for one instance."""
     instances = _load_split(data, split)
-    by_id = {inst.id: inst for inst in instances}
-    if instance_id not in by_id:
+    inst = next((inst for inst in instances if inst.id == instance_id), None)
+    if inst is None:
         raise click.ClickException(f"no instance {instance_id!r} in split {split!r}")
-    inst = by_id[instance_id]
     model = Model.load(model_path)
     if method == "ours":
         pred = model.predict(inst)

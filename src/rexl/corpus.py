@@ -11,10 +11,10 @@ the root.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 NO_RELATION = "no_relation"
 
@@ -52,8 +52,7 @@ class CorpusError(Exception):
     """Raised for malformed corpus files or inconsistent instances."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     form: str
     lemma: str
     pos: str
@@ -114,27 +113,30 @@ class RelationInstance:
         for name, (lo, hi) in (("subj", self.subj_span), ("obj", self.obj_span)):
             if not (0 <= lo <= hi < n):
                 raise CorpusError(f"{self.id}: {name} span {(lo, hi)} out of range for {n} tokens")
-        if self.subj_indices & self.obj_indices:
+        if self.subj_span[0] <= self.obj_span[1] and self.obj_span[0] <= self.subj_span[1]:
             raise CorpusError(f"{self.id}: subject and object spans overlap")
-        roots = [i for i, t in enumerate(self.tokens) if t.head is None]
-        if len(roots) != 1:
-            raise CorpusError(f"{self.id}: expected exactly one root, found {len(roots)}")
-        for i, t in enumerate(self.tokens):
-            if t.head is None:
-                continue
-            if not (0 <= t.head < n):
-                raise CorpusError(f"{self.id}: token {i} has head {t.head} out of range")
-            if t.head == i:
+        heads = [t.head for t in self.tokens]
+        if heads.count(None) != 1:
+            raise CorpusError(f"{self.id}: expected exactly one root, found {heads.count(None)}")
+        for i, head in enumerate(heads):
+            if head is not None and not (0 <= head < n):
+                raise CorpusError(f"{self.id}: token {i} has head {head} out of range")
+            if head == i:
                 raise CorpusError(f"{self.id}: token {i} is its own head")
-        # every node must reach the root, which also rules out cycles
+        # every token must reach the root, which also rules out cycles; a
+        # walk ends at the first token an earlier walk showed to reach it
+        reaches_root = [head is None for head in heads]
+        walked_from = [-1] * n
         for i in range(n):
-            seen = set()
-            j: Optional[int] = i
-            while j is not None:
-                if j in seen:
+            path, j = [], i
+            while not reaches_root[j]:
+                if walked_from[j] == i:
                     raise CorpusError(f"{self.id}: dependency cycle through token {i}")
-                seen.add(j)
-                j = self.tokens[j].head
+                walked_from[j] = i
+                path.append(j)
+                j = heads[j]
+            for j in path:
+                reaches_root[j] = True
 
 
 @dataclass(frozen=True)
@@ -176,6 +178,12 @@ class ExplanationLabels:
 
     def ones(self) -> frozenset[int]:
         return frozenset(i for i, b in enumerate(self.bits) if b)
+
+
+def is_index_list(value: object) -> bool:
+    """True for a list of distinct non-negative int token indices (bools excluded)."""
+    return (isinstance(value, list) and all(type(i) is int and i >= 0 for i in value)
+            and len(set(value)) == len(value))
 
 
 def subj_symbol(entity_type: str) -> str:
@@ -245,21 +253,27 @@ class Corpus:
         dev: Sequence[RelationInstance] = (),
         test: Sequence[RelationInstance] = (),
     ) -> "Corpus":
-        everything = tuple(train) + tuple(dev) + tuple(test)
-        seen: set[str] = set()
-        for inst in everything:
-            if inst.id in seen:
-                raise CorpusError(f"duplicate instance id {inst.id!r}")
-            seen.add(inst.id)
+        for inst in (*train, *dev, *test):
             inst.validate()
+        return cls._assemble(train, dev, test)
+
+    @classmethod
+    def _assemble(cls, *splits: Sequence[RelationInstance]) -> "Corpus":
+        """A corpus of validated train, dev and test instances; ids must be unique."""
+        train, dev, test = (tuple(split) for split in splits)
+        everything = train + dev + test
+        _reject_duplicate_ids(everything)
         relations = sorted({i.gold_relation for i in everything} - {NO_RELATION})
-        return cls(
-            train=tuple(train),
-            dev=tuple(dev),
-            test=tuple(test),
-            relation_vocab=tuple(relations),
-            token_vocab=TokenVocab.build(everything),
-        )
+        return cls(train=train, dev=dev, test=test, relation_vocab=tuple(relations),
+                   token_vocab=TokenVocab.build(everything))
+
+
+def _reject_duplicate_ids(instances: Iterable[RelationInstance]) -> None:
+    seen: set[str] = set()
+    for inst in instances:
+        if inst.id in seen:
+            raise CorpusError(f"duplicate instance id {inst.id!r}")
+        seen.add(inst.id)
 
 
 def _parse_record(record: dict, where: str) -> RelationInstance:
@@ -275,29 +289,17 @@ def _parse_record(record: dict, where: str) -> RelationInstance:
     heads = record["stanford_head"]
     deprels = record["stanford_deprel"]
     lemmas = record.get("stanford_lemma")
-    for name, col in (("stanford_pos", pos), ("stanford_ner", ner),
-                      ("stanford_head", heads), ("stanford_deprel", deprels)):
-        if len(col) != n:
+    for name, col in (("stanford_pos", pos), ("stanford_ner", ner), ("stanford_head", heads),
+                      ("stanford_deprel", deprels), ("stanford_lemma", lemmas)):
+        if col is not None and len(col) != n:
             raise CorpusError(f"{ident}: {name} has {len(col)} entries for {n} tokens")
-    if lemmas is not None and len(lemmas) != n:
-        raise CorpusError(f"{ident}: stanford_lemma has {len(lemmas)} entries for {n} tokens")
-    tokens = []
-    for i in range(n):
-        raw_head = heads[i]
+    for i, raw_head in enumerate(heads):
         if not isinstance(raw_head, int) or raw_head < 0 or raw_head > n:
             raise CorpusError(f"{ident}: head {raw_head!r} at token {i} is not in 0..{n}")
-        head = None if raw_head == 0 else raw_head - 1
-        lemma = lemmas[i] if lemmas is not None else str(forms[i]).lower()
-        tokens.append(
-            Token(
-                form=str(forms[i]),
-                lemma=str(lemma),
-                pos=str(pos[i]),
-                ner=str(ner[i]),
-                head=head,
-                deprel=str(deprels[i]),
-            )
-        )
+    forms = [str(form) for form in forms]
+    lemmas = [form.lower() for form in forms] if lemmas is None else map(str, lemmas)
+    tokens = map(Token, forms, lemmas, map(str, pos), map(str, ner),
+                 [None if head == 0 else head - 1 for head in heads], map(str, deprels))
     inst = RelationInstance(
         id=ident,
         tokens=tuple(tokens),
@@ -357,21 +359,32 @@ def save_instances(instances: Iterable[RelationInstance], path: str | Path) -> N
             fh.write("\n")
 
 
-def load_corpus(path: str | Path) -> Corpus:
-    """Load a corpus directory holding train.jsonl / dev.jsonl / test.jsonl.
+def load_split(path: str | Path, split: str) -> list[RelationInstance]:
+    """Load ``<path>/<split>.jsonl`` alone, validating each record once.
 
-    Missing split files yield empty splits; a missing directory is an error.
+    Ids must be unique within the split.  A missing split file yields an
+    empty split; a missing directory is an error.
     """
     root = Path(path)
     if not root.is_dir():
         raise CorpusError(f"corpus directory {root} does not exist")
-    splits: dict[str, list[RelationInstance]] = {}
-    for split in SPLITS:
-        file = root / f"{split}.jsonl"
-        splits[split] = load_instances(file) if file.exists() else []
-    if not any(splits.values()):
-        raise CorpusError(f"no split files found under {root}")
-    return Corpus.build(splits["train"], splits["dev"], splits["test"])
+    if split not in SPLITS:
+        raise CorpusError(f"unknown split {split!r}, expected one of {SPLITS}")
+    file = root / f"{split}.jsonl"
+    instances = load_instances(file) if file.exists() else []
+    _reject_duplicate_ids(instances)
+    return instances
+
+
+def load_corpus(path: str | Path) -> Corpus:
+    """Load a corpus directory holding train.jsonl / dev.jsonl / test.jsonl.
+
+    Each split loads as in ``load_split``, and ids must be unique across splits.
+    """
+    splits = [load_split(path, split) for split in SPLITS]
+    if not any(splits):
+        raise CorpusError(f"no split files found under {Path(path)}")
+    return Corpus._assemble(*splits)
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:

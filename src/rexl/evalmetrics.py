@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import NO_RELATION
+from .corpus import NO_RELATION, is_index_list
 
 
 class EvalError(Exception):
@@ -161,14 +161,17 @@ def load_annotations(path: str | Path) -> dict[str, tuple[tuple[int, ...], tuple
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise EvalError(f"{path}:{lineno}: not valid JSON ({exc})") from exc
+            if not isinstance(record, dict):
+                raise EvalError(f"{path}:{lineno}: record is not an object")
             for key in ("id", "tokens_a", "tokens_b"):
                 if key not in record:
                     raise EvalError(f"{path}:{lineno}: missing key {key!r}")
             iid = str(record["id"])
             if iid in out:
                 raise EvalError(f"{path}:{lineno}: duplicate annotation for {iid}")
-            out[iid] = (
-                tuple(int(i) for i in record["tokens_a"]),
-                tuple(int(i) for i in record["tokens_b"]),
-            )
+            for key in ("tokens_a", "tokens_b"):
+                if not is_index_list(record[key]):
+                    raise EvalError(f"{path}:{lineno}: {iid!r}: {key} must be a list of "
+                                    f"distinct non-negative token indices, got {record[key]!r}")
+            out[iid] = (tuple(record["tokens_a"]), tuple(record["tokens_b"]))
     return out

@@ -20,6 +20,7 @@ from typing import Mapping, Optional, Sequence
 import yaml
 
 from . import __version__
+from .corpus import is_index_list
 from .neural.model import Prediction
 from .trainer import TrainConfig, TrainingError
 
@@ -51,15 +52,15 @@ def load_predictions(path: str | Path) -> dict[str, dict]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise IOFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+            if not isinstance(record, dict):
+                raise IOFormatError(f"{path}:{lineno}: record is not an object")
             for key in ("id", "label", "rationale"):
                 if key not in record:
                     raise IOFormatError(f"{path}:{lineno}: missing key {key!r}")
             if record["id"] in out:
                 raise IOFormatError(f"{path}:{lineno}: duplicate id {record['id']!r}")
             rationale = record["rationale"]
-            if not (isinstance(rationale, list)
-                    and all(type(i) is int and i >= 0 for i in rationale)
-                    and len(set(rationale)) == len(rationale)):
+            if not is_index_list(rationale):
                 raise IOFormatError(
                     f"{path}:{lineno}: {record['id']!r}: rationale must be a list of "
                     f"distinct non-negative token indices, got {rationale!r}"

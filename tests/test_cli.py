@@ -308,3 +308,111 @@ class TestAblations:
             assert all(r["gate_prob"] is None for r in rows)
         else:
             assert all(r["rationale"] == [] for r in rows)
+
+
+class TestThreshold:
+    @pytest.mark.parametrize("value", ["1.5", "-0.2", "nan"])
+    def test_predict_rejects_a_threshold_that_is_not_a_probability(self, workspace, tmp_path,
+                                                                   value):
+        root, runner = workspace
+        result = runner.invoke(
+            main, ["predict", "--data", str(root / "data"), "--model", str(root / "model.ckpt"),
+                   "--out", str(tmp_path / "p.jsonl"), "--threshold", value],
+        )
+        assert result.exit_code == 2
+        assert "nrc_threshold must be a probability" in result.output
+        assert not (tmp_path / "p.jsonl").exists()
+
+    @pytest.mark.parametrize("value", ["1.5", "-0.2", "nan"])
+    def test_gen_rules_rejects_a_threshold_that_is_not_a_probability(self, workspace,
+                                                                     tmp_path, value):
+        root, runner = workspace
+        result = runner.invoke(
+            main, ["gen-rules", "--data", str(root / "data"), "--model", str(root / "model.ckpt"),
+                   "--mode", "predicted", "--out", str(tmp_path / "r.txt"),
+                   "--threshold", value],
+        )
+        assert result.exit_code == 2
+        assert "nrc_threshold must be a probability" in result.output
+        assert not (tmp_path / "r.txt").exists()
+
+
+def _copy_data(root, tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    for split in ("train", "dev", "test"):
+        (data / f"{split}.jsonl").write_bytes((root / "data" / f"{split}.jsonl").read_bytes())
+    return data
+
+
+def _split_command_outputs(runner, root, data, out):
+    """Run predict, eval-ec, run-rules and explain on the test split; returns their files."""
+    out.mkdir()
+    model, rules = str(root / "model.ckpt"), str(root / "manual_rules.txt")
+    first_id = json.loads((data / "test.jsonl").read_text().splitlines()[0])["id"]
+    _invoke(runner, "predict", "--data", str(data), "--split", "test", "--model", model,
+            "--out", str(out / "pred.jsonl"))
+    _invoke(runner, "eval-ec", "--data", str(data), "--split", "test",
+            "--pred", str(out / "pred.jsonl"), "--rules", rules, "--out", str(out / "ec.json"))
+    _invoke(runner, "run-rules", "--data", str(data), "--split", "test", "--rules", rules,
+            "--out", str(out / "rules.jsonl"))
+    _invoke(runner, "explain", "--data", str(data), "--split", "test", "--id", first_id,
+            "--model", model, "--out", str(out / "explain.json"))
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+            if not p.name.endswith(".manifest.json")}
+
+
+class TestSplitScope:
+    def test_split_commands_do_not_read_a_corrupt_train_file(self, workspace, tmp_path):
+        root, runner = workspace
+        clean = _split_command_outputs(runner, root, root / "data", tmp_path / "clean")
+        data = _copy_data(root, tmp_path)
+        lines = (data / "train.jsonl").read_text().splitlines()
+        lines[5] = "{broken"
+        (data / "train.jsonl").write_text("\n".join(lines) + "\n")
+        corrupt = _split_command_outputs(runner, root, data, tmp_path / "corrupt")
+        assert set(clean) == {"pred.jsonl", "ec.json", "rules.jsonl", "explain.json"}
+        assert corrupt == clean
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda rec: "{broken", "test.jsonl:3: not valid JSON"),
+        (lambda rec: json.dumps({**rec, "stanford_head": [0] * len(rec["token"])}),
+         "expected exactly one root"),
+        (lambda rec: json.dumps({**rec, "id": "test-00000"}),
+         "duplicate instance id 'test-00000'"),
+    ], ids=["bad json", "bad record", "duplicate id"])
+    def test_a_bad_test_record_still_fails(self, workspace, tmp_path, damage, message):
+        root, runner = workspace
+        data = _copy_data(root, tmp_path)
+        lines = (data / "test.jsonl").read_text().splitlines()
+        lines[2] = damage(json.loads(lines[2]))
+        (data / "test.jsonl").write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["run-rules", "--data", str(data), "--split", "test",
+                                      "--rules", str(root / "manual_rules.txt"),
+                                      "--out", str(tmp_path / "r.jsonl")])
+        assert result.exit_code == 1
+        assert message in result.output
+
+    def test_train_rejects_an_id_shared_across_splits(self, workspace, tmp_path):
+        root, runner = workspace
+        data = _copy_data(root, tmp_path)
+        shared = (data / "test.jsonl").read_text().splitlines()[0]
+        with (data / "train.jsonl").open("a") as fh:
+            fh.write(shared + "\n")
+        result = runner.invoke(main, ["train", "--data", str(data),
+                                      "--out", str(tmp_path / "m.ckpt")])
+        assert result.exit_code == 1
+        assert f"duplicate instance id {json.loads(shared)['id']!r}" in result.output
+
+    def test_a_split_command_parses_exactly_its_split(self, workspace, tmp_path, monkeypatch):
+        import rexl.corpus
+
+        root, runner = workspace
+        parsed = []
+        parse = rexl.corpus._parse_record
+        monkeypatch.setattr(rexl.corpus, "_parse_record",
+                            lambda record, where: parsed.append(where) or parse(record, where))
+        _invoke(runner, "run-rules", "--data", str(root / "data"), "--split", "dev",
+                "--rules", str(root / "manual_rules.txt"), "--out", str(tmp_path / "r.jsonl"))
+        assert len(parsed) == GEN_CONFIG["dev_size"]
+        assert all("dev.jsonl" in where for where in parsed)

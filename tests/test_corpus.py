@@ -1,7 +1,9 @@
+import dataclasses
 import json
+from typing import Optional
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rexl.corpus import (
     CLS,
@@ -18,12 +20,14 @@ from rexl.corpus import (
     instance_to_record,
     load_corpus,
     load_instances,
+    load_split,
     mask_entities,
     save_corpus,
     save_instances,
     shortest_dep_path,
     token_depth,
 )
+from rexl.synth import GeneratorSpec, gen_synthetic
 
 from conftest import make_instance
 
@@ -75,6 +79,94 @@ class TestValidation:
         )
         with pytest.raises(CorpusError, match="cycle"):
             inst.validate()
+
+
+    def test_token_is_immutable_and_hashable(self):
+        tok = Token(form="a", lemma="a", pos="NN", ner="O", head=None, deprel="root")
+        with pytest.raises(AttributeError):
+            tok.head = 0
+        assert hash(tok) == hash(Token("a", "a", "NN", "O", None, "root"))
+        assert {tok: 1}[Token("a", "a", "NN", "O", None, "root")] == 1
+
+
+def _root_walk_validate(inst: RelationInstance) -> None:
+    """The per-token root walk that ``validate`` replaced, kept as its oracle."""
+    n = len(inst.tokens)
+    if n == 0:
+        raise CorpusError(f"{inst.id}: empty token list")
+    for name, (lo, hi) in (("subj", inst.subj_span), ("obj", inst.obj_span)):
+        if not (0 <= lo <= hi < n):
+            raise CorpusError(f"{inst.id}: {name} span {(lo, hi)} out of range for {n} tokens")
+    if inst.subj_indices & inst.obj_indices:
+        raise CorpusError(f"{inst.id}: subject and object spans overlap")
+    roots = [i for i, t in enumerate(inst.tokens) if t.head is None]
+    if len(roots) != 1:
+        raise CorpusError(f"{inst.id}: expected exactly one root, found {len(roots)}")
+    for i, t in enumerate(inst.tokens):
+        if t.head is None:
+            continue
+        if not (0 <= t.head < n):
+            raise CorpusError(f"{inst.id}: token {i} has head {t.head} out of range")
+        if t.head == i:
+            raise CorpusError(f"{inst.id}: token {i} is its own head")
+    for i in range(n):
+        seen = set()
+        j: Optional[int] = i
+        while j is not None:
+            if j in seen:
+                raise CorpusError(f"{inst.id}: dependency cycle through token {i}")
+            seen.add(j)
+            j = inst.tokens[j].head
+
+
+def _outcome(check, inst):
+    try:
+        check(inst)
+    except Exception as exc:  # the class and the message are compared
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def _head_arrays(draw):
+    """A tree of up to 64 tokens, a few arbitrary head edits, then a relabelling.
+
+    The edits make cycles, self-heads, extra or missing roots and heads out
+    of range; with no edit the tree is valid.
+    """
+    n = draw(st.integers(1, 64))
+    heads = [None] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    index = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        # mostly in-range heads, which make cycles and self-heads
+        heads[draw(index)] = draw(st.one_of(index, index, index, st.none(), st.integers(-1, n)))
+    order = draw(st.permutations(range(n)))
+    relabelled: list = [None] * n
+    for i, h in enumerate(heads):
+        relabelled[order[i]] = order[h] if h is not None and 0 <= h < n else h
+    subj = draw(index)
+    obj = draw(index.filter(lambda i: i != subj)) if n > 1 else subj
+    return relabelled, subj, obj
+
+
+@settings(max_examples=500, deadline=None)
+@given(_head_arrays())
+@example(([None, 2, 1], 0, 1))        # a cycle cut off from the root
+@example(([None, 1, 0], 0, 2))        # a token that is its own head
+@example(([None, None, 0], 0, 2))     # two roots
+@example(([None, 0, 0], 1, 1))        # overlapping spans
+@example(([1, 2, 3, None, 2], 0, 4))  # a chain that later walks join
+@example(([3, 0, None, 1], 1, 2))     # a cycle through 0, 1 and 3
+@example(([2, 2, None, 4, 3], 0, 4))  # tokens 0 to 2 reach the root, 3 does not
+def test_validate_matches_the_root_walk_oracle(args):
+    heads, a, b = args
+    inst = RelationInstance(
+        id="h", tokens=tuple(Token(f"w{i}", f"w{i}", "NN", "O", h, "dep")
+                             for i, h in enumerate(heads)),
+        subj_span=(a, a), obj_span=(b, b), subj_type="PERSON", obj_type="PERSON",
+        gold_relation=NO_RELATION,
+    )
+    assert _outcome(RelationInstance.validate, inst) == _outcome(_root_walk_validate, inst)
 
 
 class TestPaths:
@@ -241,6 +333,49 @@ class TestFiles:
         with pytest.raises(CorpusError, match="duplicate"):
             Corpus.build([family_instance, family_instance])
 
+    def test_duplicate_id_within_a_split_rejected(self, tmp_path, family_instance):
+        (tmp_path / "test.jsonl").write_text(
+            2 * (json.dumps(instance_to_record(family_instance)) + "\n"))
+        with pytest.raises(CorpusError, match="duplicate instance id 'family-0'"):
+            load_split(tmp_path, "test")
+
+    def test_id_shared_across_splits_rejected(self, tmp_path, family_instance):
+        save_instances([family_instance], tmp_path / "train.jsonl")
+        save_instances([family_instance], tmp_path / "test.jsonl")
+        assert [i.id for i in load_split(tmp_path, "test")] == ["family-0"]
+        with pytest.raises(CorpusError, match="duplicate instance id 'family-0'"):
+            load_corpus(tmp_path)
+
+    def test_split_loader_reads_no_other_split(self, tmp_path, family_instance):
+        save_instances([family_instance], tmp_path / "test.jsonl")
+        (tmp_path / "train.jsonl").write_text("{broken\n")
+        assert load_split(tmp_path, "test") == [family_instance]
+        assert load_split(tmp_path, "dev") == []  # a missing file is an empty split
+        with pytest.raises(CorpusError, match="train.jsonl:1: not valid JSON"):
+            load_corpus(tmp_path)
+
+    def test_split_loader_rejects_unknown_split_and_directory(self, tmp_path):
+        with pytest.raises(CorpusError, match="unknown split 'valid'"):
+            load_split(tmp_path, "valid")
+        with pytest.raises(CorpusError, match="does not exist"):
+            load_split(tmp_path / "nope", "test")
+
+    def test_loading_validates_each_record_once(self, tmp_path, family_instance,
+                                                 birth_instance, monkeypatch):
+        save_corpus(Corpus.build([family_instance], [], [birth_instance]), tmp_path)
+        calls = []
+        real = RelationInstance.validate
+        monkeypatch.setattr(RelationInstance, "validate",
+                            lambda inst: calls.append(inst.id) or real(inst))
+        load_corpus(tmp_path)
+        assert sorted(calls) == ["birth-0", "family-0"]
+        calls.clear()
+        load_split(tmp_path, "test")
+        assert calls == ["birth-0"]
+        calls.clear()
+        Corpus.build([family_instance], [], [birth_instance])
+        assert sorted(calls) == ["birth-0", "family-0"]
+
     def test_relation_vocab_sorted_without_negative(self, family_instance, birth_instance):
         neg = make_instance(
             forms=["a", "b", "c"], heads=[None, 0, 0], deprels=["root", "x", "y"],
@@ -249,3 +384,22 @@ class TestFiles:
         )
         corpus = Corpus.build([birth_instance, family_instance, neg])
         assert corpus.relation_vocab == ("per:children", "per:city_of_birth")
+
+
+@pytest.fixture(scope="module")
+def acceptance_corpus_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("acceptance-corpus")
+    save_corpus(gen_synthetic(GeneratorSpec(), 11), root)
+    return root
+
+
+@pytest.mark.parametrize("split", ["train", "dev", "test"])
+def test_split_loader_equals_load_corpus_on_the_acceptance_corpus(acceptance_corpus_dir,
+                                                                   split):
+    alone = load_split(acceptance_corpus_dir, split)
+    whole = load_corpus(acceptance_corpus_dir).split(split)
+    assert len(alone) == len(whole) > 0
+    for a, b in zip(alone, whole):
+        for f in dataclasses.fields(RelationInstance):
+            assert getattr(a, f.name) == getattr(b, f.name), (a.id, f.name)
+        assert a.masked_symbols == b.masked_symbols

@@ -50,6 +50,13 @@ class TestPredictionFiles:
             load_predictions(path)
         assert str(err.value).startswith(f"{path}:2: 'b': rationale")
 
+    @pytest.mark.parametrize("line", ["5", "[]", '"a"', "null"])
+    def test_line_that_is_not_an_object_rejected(self, tmp_path, line):
+        path = tmp_path / "p.jsonl"
+        path.write_text(json.dumps({"id": "a", "label": "x", "rationale": []}) + "\n" + line + "\n")
+        with pytest.raises(IOFormatError, match=":2: record is not an object"):
+            load_predictions(path)
+
     def test_bad_json_reports_the_line(self, tmp_path):
         path = tmp_path / "p.jsonl"
         path.write_text("{broken\n")

@@ -139,6 +139,25 @@ class TestAnnotationFile:
         with pytest.raises(EvalError, match="tokens_b"):
             load_annotations(path)
 
+    @pytest.mark.parametrize("tokens", [
+        "12", [1.7], [True], [-3], [2, 2], None,
+    ], ids=["string", "float", "bool", "negative", "repeated", "null"])
+    @pytest.mark.parametrize("key", ["tokens_a", "tokens_b"])
+    def test_bad_token_indices_rejected_with_file_line_and_id(self, tmp_path, key, tokens):
+        path = tmp_path / "ann.jsonl"
+        good = json.dumps({"id": "x", "tokens_a": [1], "tokens_b": [2]})
+        bad = json.dumps({"id": "y", "tokens_a": [0], "tokens_b": [3], key: tokens})
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(EvalError) as err:
+            load_annotations(path)
+        assert str(err.value).startswith(f"{path}:2: 'y': {key} must be a list")
+
+    def test_line_that_is_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        path.write_text("5\n")
+        with pytest.raises(EvalError, match=":1: record is not an object"):
+            load_annotations(path)
+
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "ann.jsonl"
         good = json.dumps({"id": "x", "tokens_a": [1], "tokens_b": [2]})
