@@ -9,7 +9,7 @@ manifest next to their primary output.
 from __future__ import annotations
 
 import functools
-import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -36,8 +36,8 @@ from .io import (
     IOFormatError,
     RunManifest,
     load_predictions,
-    load_train_config,
     save_predictions,
+    write_json,
 )
 from .neural.model import (
     ABLATE_GATE,
@@ -57,7 +57,7 @@ from .rulegen import (
 )
 from .rules import RuleError, annotate_explanations, first_match, load_rules, save_rules
 from .synth import GeneratorError, GeneratorSpec, gen_synthetic, load_generator_spec, seed_rules
-from .trainer import TrainConfig, TrainingError, train as run_training
+from .trainer import TrainConfig, TrainingError, load_train_config, train as run_training
 
 _DOMAIN_ERRORS = (
     CorpusError,
@@ -126,14 +126,7 @@ def gen_data(out: str, config_path: Optional[str], seed: int,
              rules_out: Optional[str]) -> None:
     """Generate a synthetic corpus plus its seed rule file."""
     spec = load_generator_spec(config_path) if config_path else GeneratorSpec()
-    manifest = RunManifest(command="gen-data", seed=seed, config={
-        "relations": list(spec.relations),
-        "train_size": spec.train_size,
-        "dev_size": spec.dev_size,
-        "test_size": spec.test_size,
-        "rule_coverage": spec.rule_coverage,
-        "negative_fraction": spec.negative_fraction,
-    })
+    manifest = RunManifest(command="gen-data", seed=seed, config=asdict(spec))
     if config_path:
         manifest.inputs.append(config_path)
     corpus = gen_synthetic(spec, seed)
@@ -223,10 +216,7 @@ def _report_out(report, out: Optional[str], manifest: RunManifest) -> None:
     click.echo(report.to_text())
     if out:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_json(out, report.to_dict())
         manifest.outputs.append(out)
         manifest.write(Path(out))
 
@@ -437,8 +427,7 @@ def explain(data: str, split: str, instance_id: str, model_path: str,
             "tokens": list(inst.forms()),
         }
         Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n",
-                             encoding="utf-8")
+        write_json(out, record)
         manifest = RunManifest(command="explain",
                                config={"method": method, "topn": topn})
         manifest.inputs += [data, model_path]

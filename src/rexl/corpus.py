@@ -10,11 +10,12 @@ the root.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
+
+from .io import read_jsonl, write_jsonl
 
 NO_RELATION = "no_relation"
 
@@ -46,6 +47,9 @@ _REQUIRED_KEYS = (
     "stanford_deprel",
     "relation",
 )
+_SPAN_KEYS = ("subj_start", "subj_end", "obj_start", "obj_end")
+_COLUMN_KEYS = ("stanford_pos", "stanford_ner", "stanford_head", "stanford_deprel")
+_COLUMN_KEYS_WITH_LEMMA = _COLUMN_KEYS + ("stanford_lemma",)
 
 
 class CorpusError(Exception):
@@ -180,12 +184,6 @@ class ExplanationLabels:
         return frozenset(i for i, b in enumerate(self.bits) if b)
 
 
-def is_index_list(value: object) -> bool:
-    """True for a list of distinct non-negative int token indices (bools excluded)."""
-    return (isinstance(value, list) and all(type(i) is int and i >= 0 for i in value)
-            and len(set(value)) == len(value))
-
-
 def subj_symbol(entity_type: str) -> str:
     return f"SUBJ-{entity_type.upper()}"
 
@@ -279,32 +277,40 @@ def _reject_duplicate_ids(instances: Iterable[RelationInstance]) -> None:
 def _parse_record(record: dict, where: str) -> RelationInstance:
     for key in _REQUIRED_KEYS:
         if key not in record:
-            ident = record.get("id", where)
-            raise CorpusError(f"{ident}: missing key {key!r}")
+            ident = f" {record['id']!r}:" if "id" in record else ""
+            raise CorpusError(f"{where}:{ident} missing key {key!r}")
     ident = str(record["id"])
     forms = record["token"]
+    if type(forms) is not list:
+        raise CorpusError(f"{where}: {ident!r}: token must be a list, got {forms!r}")
     n = len(forms)
-    pos = record["stanford_pos"]
-    ner = record["stanford_ner"]
-    heads = record["stanford_head"]
-    deprels = record["stanford_deprel"]
     lemmas = record.get("stanford_lemma")
-    for name, col in (("stanford_pos", pos), ("stanford_ner", ner), ("stanford_head", heads),
-                      ("stanford_deprel", deprels), ("stanford_lemma", lemmas)):
-        if col is not None and len(col) != n:
-            raise CorpusError(f"{ident}: {name} has {len(col)} entries for {n} tokens")
+    for name in _COLUMN_KEYS if lemmas is None else _COLUMN_KEYS_WITH_LEMMA:
+        col = record[name]
+        if type(col) is not list:
+            raise CorpusError(f"{where}: {ident!r}: {name} must be a list, got {col!r}")
+        if len(col) != n:
+            raise CorpusError(
+                f"{where}: {ident!r}: {name} has {len(col)} entries for {n} tokens")
+    heads = record["stanford_head"]
     for i, raw_head in enumerate(heads):
-        if not isinstance(raw_head, int) or raw_head < 0 or raw_head > n:
-            raise CorpusError(f"{ident}: head {raw_head!r} at token {i} is not in 0..{n}")
+        if type(raw_head) is not int or raw_head < 0 or raw_head > n:
+            raise CorpusError(
+                f"{where}: {ident!r}: head {raw_head!r} at token {i} is not in 0..{n}")
+    for key in _SPAN_KEYS:
+        if type(record[key]) is not int:
+            raise CorpusError(f"{where}: {ident!r}: {key} must be an integer, got {record[key]!r}")
     forms = [str(form) for form in forms]
     lemmas = [form.lower() for form in forms] if lemmas is None else map(str, lemmas)
-    tokens = map(Token, forms, lemmas, map(str, pos), map(str, ner),
-                 [None if head == 0 else head - 1 for head in heads], map(str, deprels))
+    tokens = map(Token, forms, lemmas, map(str, record["stanford_pos"]),
+                 map(str, record["stanford_ner"]),
+                 [None if head == 0 else head - 1 for head in heads],
+                 map(str, record["stanford_deprel"]))
     inst = RelationInstance(
         id=ident,
         tokens=tuple(tokens),
-        subj_span=(int(record["subj_start"]), int(record["subj_end"])),
-        obj_span=(int(record["obj_start"]), int(record["obj_end"])),
+        subj_span=(record["subj_start"], record["subj_end"]),
+        obj_span=(record["obj_start"], record["obj_end"]),
         subj_type=str(record["subj_type"]),
         obj_type=str(record["obj_type"]),
         gold_relation=str(record["relation"]),
@@ -315,21 +321,8 @@ def _parse_record(record: dict, where: str) -> RelationInstance:
 
 def load_instances(path: str | Path) -> list[RelationInstance]:
     """Load one JSON-lines annotation file, validating every record."""
-    path = Path(path)
-    out = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: not valid JSON ({exc})") from exc
-            if not isinstance(record, dict):
-                raise CorpusError(f"{path}:{lineno}: record is not an object")
-            out.append(_parse_record(record, where=f"{path}:{lineno}"))
-    return out
+    return [_parse_record(record, where)
+            for where, record in read_jsonl(Path(path), CorpusError)]
 
 
 def instance_to_record(inst: RelationInstance) -> dict:
@@ -352,11 +345,7 @@ def instance_to_record(inst: RelationInstance) -> dict:
 
 
 def save_instances(instances: Iterable[RelationInstance], path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for inst in instances:
-            fh.write(json.dumps(instance_to_record(inst), sort_keys=True))
-            fh.write("\n")
+    write_jsonl(path, map(instance_to_record, instances))
 
 
 def load_split(path: str | Path, split: str) -> list[RelationInstance]:

@@ -12,12 +12,12 @@ macro-averages; instances with an empty gold set are skipped.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import NO_RELATION, is_index_list
+from .corpus import NO_RELATION
+from .io import is_index_list, read_jsonl
 
 
 class EvalError(Exception):
@@ -151,27 +151,16 @@ def load_annotations(path: str | Path) -> dict[str, tuple[tuple[int, ...], tuple
     """Read human rationale annotations: one JSON object per line with an
     ``id`` and two token-index lists ``tokens_a`` and ``tokens_b``."""
     out: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise EvalError(f"{path}:{lineno}: not valid JSON ({exc})") from exc
-            if not isinstance(record, dict):
-                raise EvalError(f"{path}:{lineno}: record is not an object")
-            for key in ("id", "tokens_a", "tokens_b"):
-                if key not in record:
-                    raise EvalError(f"{path}:{lineno}: missing key {key!r}")
-            iid = str(record["id"])
-            if iid in out:
-                raise EvalError(f"{path}:{lineno}: duplicate annotation for {iid}")
-            for key in ("tokens_a", "tokens_b"):
-                if not is_index_list(record[key]):
-                    raise EvalError(f"{path}:{lineno}: {iid!r}: {key} must be a list of "
-                                    f"distinct non-negative token indices, got {record[key]!r}")
-            out[iid] = (tuple(record["tokens_a"]), tuple(record["tokens_b"]))
+    for where, record in read_jsonl(Path(path), EvalError):
+        for key in ("id", "tokens_a", "tokens_b"):
+            if key not in record:
+                raise EvalError(f"{where}: missing key {key!r}")
+        iid = str(record["id"])
+        if iid in out:
+            raise EvalError(f"{where}: duplicate annotation for {iid}")
+        for key in ("tokens_a", "tokens_b"):
+            if not is_index_list(record[key]):
+                raise EvalError(f"{where}: {iid!r}: {key} must be a list of "
+                                f"distinct non-negative token indices, got {record[key]!r}")
+        out[iid] = (tuple(record["tokens_a"]), tuple(record["tokens_b"]))
     return out

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 
+from ..io import check_config
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -43,8 +45,4 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        known = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown model config keys: {sorted(unknown)}")
-        return cls(**data)
+        return cls(**check_config(data, cls, "model config"))

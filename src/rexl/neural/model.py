@@ -28,6 +28,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ..corpus import (
+    CorpusError,
     MaskedSequence,
     NO_RELATION,
     RelationInstance,
@@ -633,18 +634,23 @@ class Model:
             header = json.loads(raw[8:8 + hlen].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
-        if header.get("format_version") != CHECKPOINT_VERSION:
+        version = header.get("format_version") if isinstance(header, dict) else None
+        if version != CHECKPOINT_VERSION:
             raise CheckpointError(
-                f"{path}: format version {header.get('format_version')!r}, "
-                f"expected {CHECKPOINT_VERSION}"
+                f"{path}: format version {version!r}, expected {CHECKPOINT_VERSION}"
             )
-        config = ModelConfig.from_dict(header["config"])
-        vocab = TokenVocab(header["token_vocab"])
-        relations = tuple(header["relations"])
-        ablate = header["ablate"]
-        n_classes = len(class_labels(relations, ablate))
-        specs = param_specs(config, len(vocab), n_classes)
-        declared = [(name, tuple(shape)) for name, shape in header["params"]]
+        try:
+            config = ModelConfig.from_dict(header["config"])
+            vocab = TokenVocab(header["token_vocab"])
+            relations = tuple(header["relations"])
+            ablate = header["ablate"]
+            n_classes = len(class_labels(relations, ablate))
+            specs = param_specs(config, len(vocab), n_classes)
+            declared = [(name, tuple(shape)) for name, shape in header["params"]]
+        except KeyError as exc:
+            raise CheckpointError(f"{path}: header is missing key {exc}") from exc
+        except (CorpusError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: bad header ({exc})") from exc
         expected = [(name, shape) for name, shape, _d, _i in specs]
         if declared != expected:
             raise CheckpointError(f"{path}: parameter table does not match the config")
@@ -661,7 +667,10 @@ class Model:
             offset += nbytes
         if offset != len(raw):
             raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
-        return cls(config, vocab, relations, ablate=ablate, params=params)
+        try:
+            return cls(config, vocab, relations, ablate=ablate, params=params)
+        except ValueError as exc:  # an unknown ablation or a no-relation class
+            raise CheckpointError(f"{path}: bad header ({exc})") from exc
 
 
 def _token_scores(tag_probs: np.ndarray, inst: RelationInstance) -> np.ndarray:

@@ -146,42 +146,25 @@ def generate_ruleset(
     """Induce rules over a partition, in instance order.
 
     ``train_gold`` keeps gold labels and takes the model's rationale;
-    ``test_predicted`` trusts the model for both.  Instances a manual rule
-    matches are dropped before predicting.
+    ``test_predicted`` trusts the model for both.  Both predict at
+    ``nrc_threshold``, so a rationale is empty where the gate says no
+    relation.  Instances a manual rule matches are dropped before predicting.
     """
     provenance = GEN_TRAIN if config.source == TRAIN_GOLD else GEN_TEST
     if config.source == TRAIN_GOLD:
         instances = [i for i in instances if i.gold_relation != NO_RELATION]
     if manual_rules is not None:
         instances = [i for i in instances if first_match(manual_rules, i) is None]
-    labelled: list[tuple[RelationInstance, str, tuple[int, ...]]] = []
-    if config.source == TRAIN_GOLD:
-        predictions = {p.instance_id: p for p in model.predict_batch(instances)}
-        for inst in instances:
-            rationale = predictions[inst.id].rationale
-            bits = tuple(
-                1 if i in rationale else 0 for i in range(len(inst.tokens))
-            )
-            labelled.append((inst, inst.gold_relation, bits))
-    else:
-        predictions_list = model.predict_batch(list(instances), nrc_threshold=nrc_threshold)
-        for inst, pred in zip(instances, predictions_list):
-            if pred.label == NO_RELATION:
-                continue
-            bits = tuple(
-                1 if i in pred.rationale else 0 for i in range(len(inst.tokens))
-            )
-            labelled.append((inst, pred.label, bits))
-
+    predictions = model.predict_batch(instances, nrc_threshold=nrc_threshold)
     rules: list[SyntacticRule] = []
     seen = set()
     counter = 0
-    for inst, label, bits in labelled:
-        rule = generate_rule(
-            inst,
-            label,
-            bits,
-        )
+    for inst, pred in zip(instances, predictions):
+        label = inst.gold_relation if config.source == TRAIN_GOLD else pred.label
+        if label == NO_RELATION:
+            continue
+        bits = tuple(1 if i in pred.rationale else 0 for i in range(len(inst.tokens)))
+        rule = generate_rule(inst, label, bits)
         if rule is None:
             continue
         rule = replace(rule, provenance=provenance)

@@ -20,9 +20,9 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-import yaml
 
 from .corpus import Corpus, NO_RELATION, RelationInstance, Token
+from .io import check_config, read_yaml_config
 from .rules import RuleSet, parse_rules
 
 PERSON = "PERSON"
@@ -412,40 +412,28 @@ class GeneratorSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorSpec":
-        data = dict(data)
+        data = dict(check_config(data, cls, "generator spec", GeneratorError))
         relations = data.pop("relations", None)
         if relations is None:
             rel_tuple = RELATIONS
-        elif isinstance(relations, int):
+        elif type(relations) is int:
             if not (1 <= relations <= len(RELATIONS)):
                 raise GeneratorError(
                     f"relations count must be in 1..{len(RELATIONS)}"
                 )
             rel_tuple = RELATIONS[:relations]
-        else:
+        elif isinstance(relations, (list, tuple)):
             rel_tuple = tuple(str(r) for r in relations)
-        known = {
-            "train_size", "dev_size", "test_size", "rule_coverage",
-            "negative_fraction",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise GeneratorError(f"unknown generator spec keys: {sorted(unknown)}")
+        else:
+            raise GeneratorError(
+                f"relations must be a count or a list of names, got {relations!r}"
+            )
         return cls(relations=rel_tuple, **data)
 
 
 def load_generator_spec(path: str | Path) -> GeneratorSpec:
-    try:
-        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise GeneratorError(f"{path}: invalid YAML ({exc})") from exc
-    except OSError as exc:
-        raise GeneratorError(f"cannot read spec {path}: {exc}") from exc
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise GeneratorError(f"{path}: spec must be a mapping")
-    return GeneratorSpec.from_dict(raw)
+    """Read a YAML generator spec; every error names the file."""
+    return read_yaml_config(path, GeneratorSpec.from_dict, GeneratorError)
 
 
 def seed_rules(spec: GeneratorSpec) -> RuleSet:

@@ -13,10 +13,9 @@ relation heads.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -31,6 +30,7 @@ from .corpus import (
     mask_entities,
 )
 from .evalmetrics import rc_micro
+from .io import check_config, read_yaml_config, write_jsonl
 from .neural import (
     ABLATE_GATE,
     ABLATE_RATIONALE,
@@ -68,26 +68,17 @@ class TrainConfig:
             raise ValueError("nrc_threshold must be a probability")
 
     def to_dict(self) -> dict:
-        out = {
-            "t_up": self.t_up,
-            "t_low": self.t_low,
-            "burn_in_epochs": self.burn_in_epochs,
-            "total_epochs": self.total_epochs,
-            "candidate_cap": self.candidate_cap,
-            "nrc_threshold": self.nrc_threshold,
-            "model": self.model.to_dict(),
-        }
-        return out
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        data = dict(data)
-        model = data.pop("model", {})
-        known = {f for f in cls.__dataclass_fields__} - {"model"}  # type: ignore[attr-defined]
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown training config keys: {sorted(unknown)}")
-        return cls(model=ModelConfig.from_dict(model), **data)
+        data = dict(check_config(data, cls, "training config"))
+        return cls(model=ModelConfig.from_dict(data.pop("model", {})), **data)
+
+
+def load_train_config(path: str | Path) -> TrainConfig:
+    """Read a YAML training config; every error names the file."""
+    return read_yaml_config(path, TrainConfig.from_dict, TrainingError)
 
 
 @dataclass
@@ -102,16 +93,7 @@ class EpochRecord:
     mean_candidates: Optional[float]
 
     def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "phase": self.phase,
-            "loss_total": self.loss_total,
-            "loss_gate": self.loss_gate,
-            "loss_rationale": self.loss_rationale,
-            "loss_relation": self.loss_relation,
-            "dev_f1": self.dev_f1,
-            "mean_candidates": self.mean_candidates,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -119,20 +101,7 @@ class TrainLog:
     records: list[EpochRecord] = field(default_factory=list)
 
     def save(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8") as fh:
-            for rec in self.records:
-                fh.write(json.dumps(rec.to_dict(), sort_keys=True))
-                fh.write("\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "TrainLog":
-        records = []
-        with Path(path).open(encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(EpochRecord(**json.loads(line)))
-        return cls(records)
+        write_jsonl(path, (rec.to_dict() for rec in self.records))
 
 
 def generate_candidates(

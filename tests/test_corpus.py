@@ -316,6 +316,24 @@ class TestFiles:
         with pytest.raises(CorpusError, match="stanford_pos"):
             load_instances(path)
 
+    @pytest.mark.parametrize("key, value, problem", [
+        ("subj_start", "x", "subj_start must be an integer, got 'x'"),
+        ("subj_start", 0.7, "subj_start must be an integer, got 0.7"),
+        ("token", 5, "token must be a list, got 5"),
+        ("stanford_pos", None, "stanford_pos must be a list, got None"),
+        ("stanford_head", [3, True, 7, 5, 3, 5, 0, 7, 7], "head True at token 1"),
+        # a string as long as the sentence, once split into one-letter deprels
+        ("stanford_deprel", "abcdefghi", "stanford_deprel must be a list, got 'abcdefghi'"),
+    ], ids=["string span", "float span", "token not a list", "null column", "bool head",
+            "string column"])
+    def test_malformed_field_rejected_with_file_line_and_id(self, tmp_path, family_instance,
+                                                            key, value, problem):
+        record = {**instance_to_record(family_instance), key: value}
+        (tmp_path / "test.jsonl").write_text("\n" + json.dumps(record) + "\n")
+        with pytest.raises(CorpusError) as err:
+            load_split(tmp_path, "test")
+        assert str(err.value).startswith(f"{tmp_path / 'test.jsonl'}:2: 'family-0': {problem}")
+
     def test_corpus_directory_round_trip(self, tmp_path, family_instance, birth_instance):
         corpus = Corpus.build([family_instance], [], [birth_instance])
         save_corpus(corpus, tmp_path / "corp")

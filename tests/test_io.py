@@ -1,16 +1,23 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rexl
+from rexl.corpus import CorpusError, instance_to_record, load_split
+from rexl.evalmetrics import EvalError, load_annotations
 from rexl.io import (
     IOFormatError,
     RunManifest,
     load_predictions,
-    load_train_config,
     save_predictions,
 )
 from rexl.neural.model import Prediction
-from rexl.trainer import TrainingError
+from rexl.synth import GeneratorError, load_generator_spec
+from rexl.trainer import TrainingError, load_train_config
 
 
 class TestPredictionFiles:
@@ -88,6 +95,80 @@ class TestTrainConfigFile:
         path.write_text("- just\n- a list\n")
         with pytest.raises(TrainingError, match="mapping"):
             load_train_config(path)
+
+
+# (file name, loader, error class, record builder) for every JSON-lines loader
+_JSONL_LOADERS = {
+    "corpus split": ("test.jsonl", lambda path: load_split(path.parent, "test"), CorpusError,
+                     instance_to_record),
+    "predictions": ("p.jsonl", load_predictions, IOFormatError,
+                    lambda inst: {"id": inst.id, "label": "x", "rationale": [0]}),
+    "annotations": ("ann.jsonl", load_annotations, EvalError,
+                    lambda inst: {"id": inst.id, "tokens_a": [0], "tokens_b": [1]}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_JSONL_LOADERS))
+def test_every_jsonl_loader_keeps_one_contract(tmp_path, family_instance, kind):
+    name, load, error, build = _JSONL_LOADERS[kind]
+    path = tmp_path / name
+    good = json.dumps(build(family_instance))
+    path.write_text("\n" + good + "\n  \n")
+    assert len(load(path)) == 1  # blank and whitespace-only lines are skipped
+    for bad, message in (("{broken", "not valid JSON"), ("[1, 2]", "record is not an object")):
+        path.write_text(good + "\n\n" + bad + "\n")
+        with pytest.raises(error) as err:
+            load(path)
+        assert str(err.value).startswith(f"{path}:3: {message}")
+
+
+def test_importing_io_loads_no_other_rexl_module():
+    code = ("import sys, rexl.io; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'rexl'))")
+    src = str(Path(rexl.__file__).parents[1])  # a fresh interpreter finds this same package
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "['rexl', 'rexl.io']"
+
+
+class TestConfigValueKinds:
+    @pytest.mark.parametrize("text, key", [
+        ("total_epochs: 10.0\n", "total_epochs"),
+        ("total_epochs: ten\n", "total_epochs"),
+        ("burn_in_epochs: true\n", "burn_in_epochs"),
+        ("t_up: yes\n", "t_up"),
+        ("model: 5\n", "model"),
+        ("model:\n  learning_rate: 3e-4\n", "learning_rate"),
+        ("model:\n  d_model: 32.0\n", "d_model"),
+    ], ids=["float epochs", "string epochs", "bool epochs", "bool threshold",
+            "model not a mapping", "yaml 1.1 exponent", "float width"])
+    def test_train_config_names_file_and_key(self, tmp_path, text, key):
+        path = tmp_path / "t.yaml"
+        path.write_text(text)
+        with pytest.raises(TrainingError) as err:
+            load_train_config(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert key in str(err.value)
+
+    @pytest.mark.parametrize("text, key", [
+        ("train_size: '100'\n", "train_size"),
+        ("train_size: 12.5\n", "train_size"),
+        ("rule_coverage: true\n", "rule_coverage"),
+        ("relations: 2.5\n", "relations"),
+    ], ids=["string size", "float size", "bool coverage", "float relations"])
+    def test_generator_spec_names_file_and_key(self, tmp_path, text, key):
+        path = tmp_path / "gen.yaml"
+        path.write_text(text)
+        with pytest.raises(GeneratorError) as err:
+            load_generator_spec(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert key in str(err.value)
+
+    def test_an_int_is_a_valid_float(self, tmp_path):
+        path = tmp_path / "t.yaml"
+        path.write_text("t_up: 1\nmodel:\n  learning_rate: 0.001\n  dropout: 0\n")
+        cfg = load_train_config(path)
+        assert (cfg.t_up, cfg.model.learning_rate, cfg.model.dropout) == (1, 0.001, 0)
 
 
 class TestManifests:

@@ -313,6 +313,30 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError):
             Model.load(path)
 
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.pop("config"),
+        lambda h: h["config"].update(width=8),
+        lambda h: h.update(params=5),
+        lambda h: h["config"].update(d_model=float(h["config"]["d_model"])),
+        lambda h: h.update(ablate="gate"),
+        lambda h: h["token_vocab"].append(h["token_vocab"][0]),
+    ], ids=["no config", "unknown config key", "params not a list", "float width",
+            "unknown ablation", "duplicate vocabulary symbol"])
+    def test_bad_header_rejected_naming_the_path(self, model, tmp_path, edit):
+        import json
+        import struct
+        path = tmp_path / "m.ckpt"
+        model.save(path)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[4:8])
+        header = json.loads(raw[8:8 + hlen].decode("utf-8"))
+        edit(header)
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + hlen:])
+        with pytest.raises(CheckpointError) as err:
+            Model.load(path)
+        assert str(err.value).startswith(f"{path}: ")
+
     def test_version_mismatch_rejected(self, model, tmp_path):
         import json
         import struct

@@ -119,9 +119,11 @@ class _FixedRationale:
     def __init__(self, *rationale):
         self.rationale = rationale
         self.seen = []  # ids of every instance predict_batch received
+        self.thresholds = []  # the nrc_threshold of every predict_batch call
 
     def predict_batch(self, instances, nrc_threshold=0.5):
         self.seen += [inst.id for inst in instances]
+        self.thresholds.append(nrc_threshold)
         return [Prediction(inst.id, inst.gold_relation, self.rationale, gate_prob=None)
                 for inst in instances]
 
@@ -171,6 +173,13 @@ class TestRulesetGeneration:
                                  GenConfig(source=source))
         assert model.seen == [birth_instance.id]
         assert [r.label for r in rules] == [birth_instance.gold_relation]
+
+    @pytest.mark.parametrize("source", [TRAIN_GOLD, TEST_PREDICTED])
+    def test_both_sources_predict_at_the_given_threshold(self, source, family_instance):
+        model = _FixedRationale(2)
+        generate_ruleset(model, [family_instance], None, GenConfig(source=source),
+                         nrc_threshold=0.8)
+        assert model.thresholds == [0.8]
 
     def test_unknown_source_rejected(self):
         with pytest.raises(ValueError, match="source"):

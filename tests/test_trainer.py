@@ -6,6 +6,7 @@ import pytest
 from conftest import make_instance
 from rexl import synth
 from rexl.corpus import NO_RELATION, SOURCE_LATENT, SOURCE_RULE, Corpus, ExplanationLabels
+from rexl.io import read_jsonl
 from rexl.neural import (
     ABLATE_GATE,
     ABLATE_RATIONALE,
@@ -231,4 +232,4 @@ class TestLog:
         ])
         path = tmp_path / "log.jsonl"
         log.save(path)
-        assert TrainLog.load(path).records == log.records
+        assert [record for _, record in read_jsonl(path)] == [r.to_dict() for r in log.records]
