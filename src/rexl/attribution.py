@@ -10,6 +10,8 @@ by insertion order.
 Methods that need a label anchor use the model's prediction under full
 non-entity context, which is also the context the scores are computed in;
 the trained rationale head itself is deliberately not consulted here.
+Occlusion and greedy score that head through ``Model.relation_probs``;
+saliency is ``Model.embedding_saliency``, which needs the head's backward.
 """
 
 from __future__ import annotations
@@ -52,16 +54,41 @@ def all_between(inst: RelationInstance) -> list[int]:
     return list(range(lo, hi))
 
 
+def all_context_distribution(model: Model, inst: RelationInstance) -> np.ndarray:
+    """The relation head's distribution with every non-entity token kept."""
+    return model.relation_distribution(inst, model.full_rationale_bits(inst))
+
+
+def cls_attention(model: Model, inst: RelationInstance) -> np.ndarray:
+    """Last-layer [CLS] attention mass per original token, head-averaged."""
+    last = model.encode(model.masked(inst)).attentions[-1]  # [heads, L, L]
+    return last[:, 0, 1:len(inst.tokens) + 1].mean(axis=0)
+
+
+def occlusion_drops(model: Model, inst: RelationInstance, label: Optional[str] = None):
+    """Anchor-label probability drop per context token replaced by the unknown symbol."""
+    seq = model.masked(inst)
+    bits = model.full_rationale_bits(inst)
+    base = model.relation_distribution(inst, bits, seq=seq)
+    c = int(base.argmax()) if label is None else model.class_index(label)
+    targets = _candidates(inst)
+    out = np.zeros(len(inst.tokens))  # entity positions stay 0
+    if targets:
+        probs = model.relation_probs(inst, [bits] * len(targets), seq=seq,
+                                     overrides=[{j + 1: model.token_vocab.unk_id} for j in targets])
+        out[targets] = base[c] - probs[:, c]
+    return out
+
+
 def greedy_rationale(
     model: Model,
     inst: RelationInstance,
     label: Optional[str] = None,
-    limit: Optional[int] = None,
 ) -> list[int]:
     """Grow a token set greedily while the anchor label's probability
     strictly increases.  Returns tokens in insertion order."""
     seq = model.masked(inst)
-    base = model.all_context_distribution(inst)
+    base = all_context_distribution(model, inst)
     c = int(base.argmax()) if label is None else model.class_index(label)
     n = len(inst.tokens)
     remaining = _candidates(inst)
@@ -71,8 +98,6 @@ def greedy_rationale(
         model.relation_distribution(inst, bits, seq=seq)[c]
     )
     while remaining:
-        if limit is not None and len(chosen) >= limit:
-            break
         trials = []
         for j in remaining:
             trial = list(bits)
@@ -114,9 +139,9 @@ def attribute(
         picked = greedy_rationale(model, inst, label=label)
         return picked[:n]
     if method == ATTENTION:
-        scores = model.cls_attention(inst)
+        scores = cls_attention(model, inst)
     elif method == SALIENCY:
         scores = model.embedding_saliency(inst, label=label)
     else:
-        scores = model.occlusion_drops(inst, label=label)
+        scores = occlusion_drops(model, inst, label=label)
     return _top_n(scores, candidates, n)

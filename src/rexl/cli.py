@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .attribution import METHODS, AttributionError, attribute
+from .attribution import METHODS, AttributionError, all_context_distribution, attribute
 from .corpus import (
     CorpusError,
     NO_RELATION,
@@ -180,9 +180,10 @@ def train_cmd(data: str, out: str, rules_path: Optional[str],
     manifest.outputs += [out, str(log_file)]
     manifest.write(Path(out))
     last = log.records[-1]
+    dev_f1 = "n/a" if last.dev_f1 is None else f"{last.dev_f1:.4f}"
     click.echo(
         f"trained {last.epoch} epochs on {len(corpus.train)} instances "
-        f"({len(annotations)} rule-annotated); dev F1 {last.dev_f1:.4f}; "
+        f"({len(annotations)} rule-annotated); dev F1 {dev_f1}; "
         f"checkpoint {out}"
     )
 
@@ -401,7 +402,7 @@ def explain(data: str, split: str, instance_id: str, model_path: str,
         selected = sorted(pred.rationale)
         extra = "" if pred.gate_prob is None else f" (gate {pred.gate_prob:.3f})"
     else:
-        probs = model.all_context_distribution(inst)
+        probs = all_context_distribution(model, inst)
         label = model.class_labels[int(np.argmax(probs))]
         selected = sorted(attribute(method, model, inst, n=topn))
         extra = f" (p {float(np.max(probs)):.3f})"

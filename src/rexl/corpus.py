@@ -50,6 +50,10 @@ _REQUIRED_KEYS = (
 _SPAN_KEYS = ("subj_start", "subj_end", "obj_start", "obj_end")
 _COLUMN_KEYS = ("stanford_pos", "stanford_ner", "stanford_head", "stanford_deprel")
 _COLUMN_KEYS_WITH_LEMMA = _COLUMN_KEYS + ("stanford_lemma",)
+_STRING_KEYS = ("subj_type", "obj_type", "relation")
+_TEXT_COLUMNS = ("token", "stanford_pos", "stanford_ner", "stanford_deprel")
+_TEXT_COLUMNS_WITH_LEMMA = _TEXT_COLUMNS + ("stanford_lemma",)
+_STR_ONLY = frozenset((str,))
 
 
 class CorpusError(Exception):
@@ -279,7 +283,9 @@ def _parse_record(record: dict, where: str) -> RelationInstance:
         if key not in record:
             ident = f" {record['id']!r}:" if "id" in record else ""
             raise CorpusError(f"{where}:{ident} missing key {key!r}")
-    ident = str(record["id"])
+    ident = record["id"]
+    if type(ident) is not str:
+        raise CorpusError(f"{where}: id must be a string, got {ident!r}")
     forms = record["token"]
     if type(forms) is not list:
         raise CorpusError(f"{where}: {ident!r}: token must be a list, got {forms!r}")
@@ -300,20 +306,27 @@ def _parse_record(record: dict, where: str) -> RelationInstance:
     for key in _SPAN_KEYS:
         if type(record[key]) is not int:
             raise CorpusError(f"{where}: {ident!r}: {key} must be an integer, got {record[key]!r}")
-    forms = [str(form) for form in forms]
-    lemmas = [form.lower() for form in forms] if lemmas is None else map(str, lemmas)
-    tokens = map(Token, forms, lemmas, map(str, record["stanford_pos"]),
-                 map(str, record["stanford_ner"]),
+    for name in _TEXT_COLUMNS if lemmas is None else _TEXT_COLUMNS_WITH_LEMMA:
+        if not _STR_ONLY.issuperset(map(type, record[name])):
+            i, bad = next((i, v) for i, v in enumerate(record[name]) if type(v) is not str)
+            raise CorpusError(
+                f"{where}: {ident!r}: {name} entry {i} must be a string, got {bad!r}")
+    for key in _STRING_KEYS:
+        if type(record[key]) is not str:
+            raise CorpusError(f"{where}: {ident!r}: {key} must be a string, got {record[key]!r}")
+    if lemmas is None:
+        lemmas = [form.lower() for form in forms]
+    tokens = map(Token, forms, lemmas, record["stanford_pos"], record["stanford_ner"],
                  [None if head == 0 else head - 1 for head in heads],
-                 map(str, record["stanford_deprel"]))
+                 record["stanford_deprel"])
     inst = RelationInstance(
         id=ident,
         tokens=tuple(tokens),
         subj_span=(record["subj_start"], record["subj_end"]),
         obj_span=(record["obj_start"], record["obj_end"]),
-        subj_type=str(record["subj_type"]),
-        obj_type=str(record["obj_type"]),
-        gold_relation=str(record["relation"]),
+        subj_type=record["subj_type"],
+        obj_type=record["obj_type"],
+        gold_relation=record["relation"],
     )
     inst.validate()
     return inst

@@ -3,11 +3,14 @@
 Every reader and writer in the package goes through this module, so each
 convention lives in one place:
 
+* Every file is UTF-8; a reader given other bytes fails in its caller's
+  error class, naming the path.
 * JSON lines: one object per line, written with sorted keys.  Reading
   skips blank lines, and a line that is not valid JSON or not an object
   fails with a ``<path>:<line>:`` prefix in the caller's error class.
 * JSON documents (reports, explanations, manifests): indented, sorted
-  keys, a trailing newline.
+  keys, a trailing newline.  Neither JSON writer emits NaN or infinity
+  (they raise ``ValueError``), which are not JSON.
 * YAML configs: a mapping (an empty file gives the defaults) whose keys
   ``check_config`` holds to the fields and kinds of a config dataclass.
 * Manifests: every file-producing command writes one next to its primary
@@ -50,31 +53,35 @@ def read_jsonl(path: str | Path,
     """Yield ``("<path>:<line>", record)`` for each non-blank line of a JSON-lines file.
 
     A line that is not valid JSON, or is valid JSON but not an object,
-    raises ``error`` with the same ``<path>:<line>:`` prefix.
+    raises ``error`` with the same ``<path>:<line>:`` prefix; a file that is
+    not UTF-8 raises ``error`` naming the path.
     """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise error(f"{where}: not valid JSON ({exc})") from exc
-            if not isinstance(record, dict):
-                raise error(f"{where}: record is not an object")
-            yield where, record
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                where = f"{path}:{lineno}"
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise error(f"{where}: not valid JSON ({exc})") from exc
+                if not isinstance(record, dict):
+                    raise error(f"{where}: record is not an object")
+                yield where, record
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not valid UTF-8 ({exc})") from exc
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
 
 
 def write_json(path: str | Path, document: object) -> None:
-    Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n",
+    Path(path).write_text(json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n",
                           encoding="utf-8")
 
 
@@ -87,6 +94,8 @@ def read_yaml_config(path: str | Path, from_dict: Callable[[dict], T],
     """
     try:
         raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not valid UTF-8 ({exc})") from exc
     except yaml.YAMLError as exc:
         raise error(f"{path}: invalid YAML ({exc})") from exc
     try:
@@ -133,6 +142,11 @@ def load_predictions(path: str | Path) -> dict[str, dict]:
         for key in ("id", "label", "rationale"):
             if key not in record:
                 raise IOFormatError(f"{where}: missing key {key!r}")
+        if type(record["id"]) is not str:
+            raise IOFormatError(f"{where}: id must be a string, got {record['id']!r}")
+        if type(record["label"]) is not str:
+            raise IOFormatError(
+                f"{where}: {record['id']!r}: label must be a string, got {record['label']!r}")
         if record["id"] in out:
             raise IOFormatError(f"{where}: duplicate id {record['id']!r}")
         rationale = record["rationale"]

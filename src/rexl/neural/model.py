@@ -11,6 +11,8 @@ The relation head never sees tokens outside its rationale: it re-encodes
 only [CLS], the entity spans and the selected context tokens, keeping each
 token's original position index.  Tokens left out of the rationale
 therefore have exactly zero influence on the label distribution.
+``Model.relation_probs`` is the head's one scorer; ``rexl.attribution``
+holds the attribution methods but saliency, which needs its backward pass.
 
 Ablations: ``ablate="nrc"`` drops the gate and adds a NO_RELATION class to
 the relation head; ``ablate="ec"`` drops the rationale head and pools the
@@ -358,23 +360,25 @@ class Model:
         seq: Optional[MaskedSequence] = None,
         id_override: Optional[dict[int, int]] = None,
     ) -> np.ndarray:
-        """Label distribution pooled from the given rationale and the entities."""
-        if seq is None:
-            seq = self.masked(inst)
-        row = _RestrictedRow(seq, inst, tuple(bits), id_override=id_override)
-        logits, _ = self._relation_forward([row])
-        return softmax(logits, axis=-1)[0]
+        """``relation_probs`` of one row: the oracle batched callers are tested against."""
+        return self.relation_probs(inst, [bits], seq=seq, overrides=[id_override])[0]
 
     def relation_probs(
         self,
         inst: RelationInstance,
         bit_rows: Sequence[Sequence[int]],
         seq: Optional[MaskedSequence] = None,
+        overrides: Optional[Sequence[Optional[dict[int, int]]]] = None,
     ) -> np.ndarray:
-        """Label distributions for many rationales of one instance, batched."""
+        """Label distributions for many rationales of one instance, batched.  ``overrides``
+        holds, per row, None or {masked position: symbol id}.  A row may differ from the
+        same row scored alone by about 1e-16, as kernels round per batch shape."""
         if seq is None:
             seq = self.masked(inst)
-        rows = [_RestrictedRow(seq, inst, tuple(b)) for b in bit_rows]
+        if overrides is None:
+            overrides = [None] * len(bit_rows)
+        rows = [_RestrictedRow(seq, inst, tuple(bits), id_override=override)
+                for bits, override in zip(bit_rows, overrides, strict=True)]
         logits, _ = self._relation_forward(rows)
         return softmax(logits, axis=-1)
 
@@ -386,8 +390,7 @@ class Model:
         seq: Optional[MaskedSequence] = None,
     ) -> np.ndarray:
         """p(label | candidate rationale) for every candidate, one batched pass."""
-        probs = self.relation_probs(inst, candidates, seq=seq)
-        return probs[:, self.class_index(label)]
+        return self.relation_probs(inst, candidates, seq=seq)[:, self.class_index(label)]
 
     # ------------------------------------------------------------------
     # training
@@ -547,10 +550,7 @@ class Model:
         return self.predict_batch([inst], nrc_threshold=nrc_threshold)[0]
 
     # ------------------------------------------------------------------
-    # attribution primitives
-
-    def all_context_distribution(self, inst: RelationInstance) -> np.ndarray:
-        return self.relation_distribution(inst, self.full_rationale_bits(inst))
+    # attribution
 
     def embedding_saliency(self, inst: RelationInstance, label: Optional[str] = None) -> np.ndarray:
         """L1 norm of d p(label) / d input-embedding per original token.
@@ -572,35 +572,6 @@ class Model:
         for j in range(n):
             out[j] = np.abs(dx0[0, j + 1]).sum()
         return out
-
-    def occlusion_drops(self, inst: RelationInstance, label: Optional[str] = None) -> np.ndarray:
-        """Probability drop when each token is replaced by the unknown symbol."""
-        seq = self.masked(inst)
-        bits = self.full_rationale_bits(inst)
-        base = self.relation_distribution(inst, bits, seq=seq)
-        c = int(base.argmax()) if label is None else self.class_index(label)
-        n = len(inst.tokens)
-        entity = inst.entity_indices
-        targets = [j for j in range(n) if j not in entity]
-        rows = [
-            _RestrictedRow(seq, inst, bits, id_override={j + 1: self.token_vocab.unk_id})
-            for j in targets
-        ]
-        out = np.zeros(n, dtype=np.float64)
-        if rows:
-            logits, _ = self._relation_forward(rows)
-            probs = softmax(logits, axis=-1)
-            for row_pos, j in enumerate(targets):
-                out[j] = float(base[c] - probs[row_pos, c])
-        return out
-
-    def cls_attention(self, inst: RelationInstance) -> np.ndarray:
-        """Last-layer [CLS] attention mass per original token, head-averaged."""
-        enc = self.encode(self.masked(inst))
-        last = enc.attentions[-1]  # [heads, L, L]
-        row = last[:, 0, :].mean(axis=0)  # [L]
-        n = len(inst.tokens)
-        return row[1:n + 1].copy()
 
     # ------------------------------------------------------------------
     # checkpointing

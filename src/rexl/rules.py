@@ -347,6 +347,8 @@ def load_rules(path: str | Path) -> RuleSet:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise RuleError(f"cannot read rule file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise RuleError(f"{path}: not valid UTF-8 ({exc})") from exc
     return parse_rules(text)
 
 

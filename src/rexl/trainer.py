@@ -89,7 +89,7 @@ class EpochRecord:
     loss_gate: float
     loss_rationale: float
     loss_relation: float
-    dev_f1: float
+    dev_f1: Optional[float]  # None when the dev split is empty
     mean_candidates: Optional[float]
 
     def to_dict(self) -> dict:
@@ -315,9 +315,9 @@ def _targets_for(
     )
 
 
-def _dev_f1(model: Model, corpus: Corpus, config: TrainConfig) -> float:
+def _dev_f1(model: Model, corpus: Corpus, config: TrainConfig) -> Optional[float]:
     if not corpus.dev:
-        return float("nan")
+        return None
     preds = model.predict_batch(corpus.dev, nrc_threshold=config.nrc_threshold)
     gold = {inst.id: inst.gold_relation for inst in corpus.dev}
     predicted = {p.instance_id: p.label for p in preds}

@@ -11,8 +11,10 @@ from rexl.attribution import (
     SALIENCY,
     AttributionError,
     all_between,
+    all_context_distribution,
     attribute,
     greedy_rationale,
+    occlusion_drops,
 )
 from rexl.neural import Model, ModelConfig
 
@@ -85,11 +87,32 @@ class TestRanking:
         assert attribute(SALIENCY, model, corpus.train[0], n=0) == []
 
 
+class TestOcclusion:
+    @pytest.mark.parametrize("anchor", ["predicted", "least likely"])
+    def test_drops_match_the_one_row_oracle(self, setup, anchor):
+        model, corpus = setup
+        unk = model.token_vocab.unk_id
+        for inst in corpus.train[:6]:
+            bits = model.full_rationale_bits(inst)
+            base = model.relation_distribution(inst, bits)
+            if anchor == "predicted":
+                c, drops = int(base.argmax()), occlusion_drops(model, inst)
+            else:
+                c = int(base.argmin())
+                drops = occlusion_drops(model, inst, label=model.class_labels[c])
+            for j in range(len(inst.tokens)):
+                if j in inst.entity_indices:
+                    assert drops[j] == 0.0
+                else:
+                    one = model.relation_distribution(inst, bits, id_override={j + 1: unk})
+                    assert abs(drops[j] - (base[c] - one[c])) <= 1e-9
+
+
 class TestGreedy:
     def test_first_pick_is_the_best_singleton(self, setup):
         model, corpus = setup
         inst = corpus.train[0]
-        label = model.class_labels[int(model.all_context_distribution(inst).argmax())]
+        label = model.class_labels[int(all_context_distribution(model, inst).argmax())]
         chosen = greedy_rationale(model, inst)
         if not chosen:
             pytest.skip("greedy found no improving token for this seed")
@@ -107,7 +130,7 @@ class TestGreedy:
     def test_probability_strictly_increases_along_the_path(self, setup):
         model, corpus = setup
         inst = corpus.train[0]
-        base = model.all_context_distribution(inst)
+        base = all_context_distribution(model, inst)
         c = int(base.argmax())
         chosen = greedy_rationale(model, inst)
         n = len(inst.tokens)
@@ -119,11 +142,6 @@ class TestGreedy:
             cur = float(model.relation_distribution(inst, bits)[c])
             assert cur > last
             last = cur
-
-    def test_limit_stops_growth(self, setup):
-        model, corpus = setup
-        inst = corpus.train[0]
-        assert len(greedy_rationale(model, inst, limit=1)) <= 1
 
     def test_greedy_through_attribute_truncates(self, setup):
         model, corpus = setup

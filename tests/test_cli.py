@@ -290,6 +290,56 @@ class TestFailures:
         assert "missing-999" in result.output
 
 
+class TestEmptyDev:
+    def test_train_logs_null_dev_f1(self, tmp_path):
+        runner = CliRunner()
+        gen_cfg = tmp_path / "gen.yaml"
+        gen_cfg.write_text(yaml.safe_dump({**GEN_CONFIG, "dev_size": 0}))
+        train_cfg = tmp_path / "train.yaml"
+        train_cfg.write_text(yaml.safe_dump(TRAIN_CONFIG))
+        data = tmp_path / "data"
+        _invoke(runner, "gen-data", "--out", str(data), "--config", str(gen_cfg), "--seed", "11")
+        result = _invoke(runner, "train", "--data", str(data), "--out", str(tmp_path / "m.ckpt"),
+                         "--rules", str(data / "manual_rules.txt"), "--config", str(train_cfg))
+        assert "dev F1 n/a;" in result.output
+        lines = (tmp_path / "m.ckpt.log.jsonl").read_text().splitlines()
+
+        def strict(token):
+            raise ValueError(f"{token} is not JSON")
+
+        records = [json.loads(line, parse_constant=strict) for line in lines]
+        assert [r["dev_f1"] for r in records] == [None, None]
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize("kind", ["corpus split", "predictions", "annotations", "rules",
+                                      "train config", "generator config"])
+    def test_input_that_is_not_utf8_fails_naming_the_path(self, workspace, tmp_path, kind):
+        root, runner = workspace
+        data, rules = str(root / "data"), str(root / "manual_rules.txt")
+        bad = tmp_path / ("test.jsonl" if kind == "corpus split" else "input")
+        bad.write_bytes(b"\xff\xfe not text \x80\n")
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(json.dumps({"id": "a", "label": "x", "rationale": []}) + "\n")
+        argv = {
+            "corpus split": ["run-rules", "--data", str(tmp_path), "--split", "test",
+                             "--rules", rules, "--out", str(tmp_path / "r.jsonl")],
+            "predictions": ["eval-rc", "--data", data, "--split", "test", "--pred", str(bad)],
+            "annotations": ["eval-plausibility", "--pred", str(pred), "--annotations", str(bad)],
+            "rules": ["run-rules", "--data", data, "--split", "test", "--rules", str(bad),
+                      "--out", str(tmp_path / "r.jsonl")],
+            "train config": ["train", "--data", data, "--out", str(tmp_path / "m.ckpt"),
+                             "--config", str(bad)],
+            "generator config": ["gen-data", "--out", str(tmp_path / "d"), "--config", str(bad)],
+        }[kind]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1, result.output
+        assert "Traceback" not in result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: ")
+        assert f"{bad}: not valid UTF-8" in lines[0]
+
+
 class TestAblations:
     @pytest.mark.parametrize("ablate", ["nrc", "ec"])
     def test_ablated_training_runs(self, workspace, tmp_path, ablate):

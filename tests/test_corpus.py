@@ -324,15 +324,25 @@ class TestFiles:
         ("stanford_head", [3, True, 7, 5, 3, 5, 0, 7, 7], "head True at token 1"),
         # a string as long as the sentence, once split into one-letter deprels
         ("stanford_deprel", "abcdefghi", "stanford_deprel must be a list, got 'abcdefghi'"),
+        ("id", 5, "id must be a string, got 5"),
+        ("relation", None, "relation must be a string, got None"),
+        ("subj_type", None, "subj_type must be a string, got None"),
+        ("obj_type", 5, "obj_type must be a string, got 5"),
+        ("token", ["John", "'s", None, ",", "Emma", ",", "likes", "swimming", "."],
+         "token entry 2 must be a string, got None"),
+        ("stanford_pos", ["NN"] * 8 + [3], "stanford_pos entry 8 must be a string, got 3"),
+        ("stanford_lemma", [1.5] + ["x"] * 8, "stanford_lemma entry 0 must be a string, got 1.5"),
     ], ids=["string span", "float span", "token not a list", "null column", "bool head",
-            "string column"])
+            "string column", "numeric id", "null relation", "null subject type",
+            "numeric object type", "null token", "numeric tag", "numeric lemma"])
     def test_malformed_field_rejected_with_file_line_and_id(self, tmp_path, family_instance,
                                                             key, value, problem):
         record = {**instance_to_record(family_instance), key: value}
         (tmp_path / "test.jsonl").write_text("\n" + json.dumps(record) + "\n")
         with pytest.raises(CorpusError) as err:
             load_split(tmp_path, "test")
-        assert str(err.value).startswith(f"{tmp_path / 'test.jsonl'}:2: 'family-0': {problem}")
+        ident = "" if key == "id" else "'family-0': "
+        assert str(err.value).startswith(f"{tmp_path / 'test.jsonl'}:2: {ident}{problem}")
 
     def test_corpus_directory_round_trip(self, tmp_path, family_instance, birth_instance):
         corpus = Corpus.build([family_instance], [], [birth_instance])

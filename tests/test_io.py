@@ -14,6 +14,8 @@ from rexl.io import (
     RunManifest,
     load_predictions,
     save_predictions,
+    write_json,
+    write_jsonl,
 )
 from rexl.neural.model import Prediction
 from rexl.synth import GeneratorError, load_generator_spec
@@ -56,6 +58,21 @@ class TestPredictionFiles:
         with pytest.raises(IOFormatError) as err:
             load_predictions(path)
         assert str(err.value).startswith(f"{path}:2: 'b': rationale")
+
+    @pytest.mark.parametrize("key, value, problem", [
+        ("label", None, "'b': label must be a string, got None"),
+        ("label", 7, "'b': label must be a string, got 7"),
+        ("id", 5, "id must be a string, got 5"),
+        ("id", None, "id must be a string, got None"),
+    ], ids=["null label", "numeric label", "numeric id", "null id"])
+    def test_id_and_label_must_be_strings(self, tmp_path, key, value, problem):
+        path = tmp_path / "p.jsonl"
+        good = json.dumps({"id": "a", "label": "x", "rationale": [0, 3]})
+        bad = json.dumps({"id": "b", "label": "x", "rationale": [], key: value})
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(IOFormatError) as err:
+            load_predictions(path)
+        assert str(err.value).startswith(f"{path}:2: {problem}")
 
     @pytest.mark.parametrize("line", ["5", "[]", '"a"', "null"])
     def test_line_that_is_not_an_object_rejected(self, tmp_path, line):
@@ -120,6 +137,15 @@ def test_every_jsonl_loader_keeps_one_contract(tmp_path, family_instance, kind):
         with pytest.raises(error) as err:
             load(path)
         assert str(err.value).startswith(f"{path}:3: {message}")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("write", [lambda path, doc: write_jsonl(path, [doc]), write_json],
+                         ids=["jsonl", "json"])
+def test_writers_refuse_non_finite_floats(tmp_path, write, value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write(tmp_path / "out.json", {"dev_f1": value})
 
 
 def test_importing_io_loads_no_other_rexl_module():

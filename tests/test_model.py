@@ -144,6 +144,33 @@ class TestHeads:
         assert probs.shape == (len(model.class_labels),)
         assert abs(probs.sum() - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("with_overrides", [False, True], ids=["plain", "overrides"])
+    def test_batched_rows_match_the_one_row_oracle(self, tiny_corpus, model, with_overrides):
+        corpus, _ = tiny_corpus
+        rng = np.random.default_rng(5)
+        unk = model.token_vocab.unk_id
+        for inst in corpus.train[:8]:
+            n = len(inst.tokens)
+            bit_rows = [tuple(int(b) for b in rng.integers(0, 2, n)) for _ in range(6)]
+            overrides = None
+            if with_overrides:
+                # every other row replaces one random position, [CLS] and entities included
+                overrides = [None if r % 2 else {int(rng.integers(0, n + 1)): unk}
+                             for r in range(len(bit_rows))]
+            batched = model.relation_probs(inst, bit_rows, overrides=overrides)
+            assert batched.shape == (len(bit_rows), len(model.class_labels))
+            for r, bits in enumerate(bit_rows):
+                one = model.relation_distribution(
+                    inst, bits, id_override=overrides[r] if overrides else None)
+                assert float(np.max(np.abs(batched[r] - one))) <= 1e-9
+
+    def test_overrides_need_one_entry_per_row(self, tiny_corpus, model):
+        corpus, _ = tiny_corpus
+        inst = corpus.train[0]
+        bits = model.full_rationale_bits(inst)
+        with pytest.raises(ValueError):
+            model.relation_probs(inst, [bits, bits], overrides=[None])
+
     def test_too_long_sequence_rejected(self, tiny_corpus):
         corpus, _ = tiny_corpus
         cfg = ModelConfig(d_model=16, n_layers=1, n_heads=2, max_seq_len=4, seed=3)
