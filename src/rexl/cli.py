@@ -47,15 +47,16 @@ from .neural.model import (
     Prediction,
     SequenceTooLongError,
 )
-from .rulegen import (
-    GenConfig,
-    RuleGenError,
-    TEST_PREDICTED,
-    TRAIN_GOLD,
-    generate_ruleset,
-    merge_rulesets,
+from .rulegen import generate_ruleset, merge_rulesets
+from .rules import (
+    GEN_TEST,
+    GEN_TRAIN,
+    RuleError,
+    annotate_explanations,
+    first_match,
+    load_rules,
+    save_rules,
 )
-from .rules import RuleError, annotate_explanations, first_match, load_rules, save_rules
 from .synth import GeneratorError, GeneratorSpec, gen_synthetic, load_generator_spec, seed_rules
 from .trainer import TrainConfig, TrainingError, load_train_config, train as run_training
 
@@ -65,7 +66,6 @@ _DOMAIN_ERRORS = (
     TrainingError,
     EvalError,
     GeneratorError,
-    RuleGenError,
     AttributionError,
     CheckpointError,
     SequenceTooLongError,
@@ -312,16 +312,13 @@ def eval_plausibility(pred_path: str, ann_path: str, out: Optional[str]) -> None
 def gen_rules(data: str, split: Optional[str], model_path: str, mode: str,
               manual_path: Optional[str], out: str, threshold: float) -> None:
     """Induce syntactic rules from model rationales."""
-    source = TRAIN_GOLD if mode == "gold" else TEST_PREDICTED
+    source = GEN_TRAIN if mode == "gold" else GEN_TEST
     if split is None:
         split = "train" if mode == "gold" else "test"
     instances = _load_split(data, split)
     model = Model.load(model_path)
     manual = load_rules(manual_path) if manual_path else None
-    ruleset = generate_ruleset(
-        model, instances, manual, GenConfig(source=source),
-        nrc_threshold=threshold,
-    )
+    ruleset = generate_ruleset(model, instances, manual, source, nrc_threshold=threshold)
     manifest = RunManifest(command="gen-rules",
                            config={"mode": mode, "split": split,
                                    "threshold": threshold})

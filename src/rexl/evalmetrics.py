@@ -155,7 +155,9 @@ def load_annotations(path: str | Path) -> dict[str, tuple[tuple[int, ...], tuple
         for key in ("id", "tokens_a", "tokens_b"):
             if key not in record:
                 raise EvalError(f"{where}: missing key {key!r}")
-        iid = str(record["id"])
+        iid = record["id"]
+        if type(iid) is not str:
+            raise EvalError(f"{where}: id must be a string, got {iid!r}")
         if iid in out:
             raise EvalError(f"{where}: duplicate annotation for {iid}")
         for key in ("tokens_a", "tokens_b"):

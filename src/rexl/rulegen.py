@@ -1,53 +1,36 @@
 """Turning rationales into syntactic rules.
 
 For one instance: take the longest contiguous rationale run (nearest to
-the subject on ties) as the trigger, anchor on its shallowest token, read
-the shortest dependency paths from that anchor to each entity span, and
-emit a syntactic rule matching the trigger words with those paths.
+the subject on ties) as the trigger, anchor on it with
+``rules.trigger_anchor`` (the anchor the matcher uses), read the shortest
+dependency paths from that anchor to each entity span, and emit a
+syntactic rule matching the trigger words with those paths.
 
-Two sources are supported.  ``train_gold`` pairs gold labels with the
-model's predicted rationale.  ``test_predicted`` uses the model's own
-labels and rationales on unlabelled data, so rule induction also works
-transductively.  Both skip instances a manual rule already matches, before
-the model sees them.
+The source of a rule set is its provenance.  ``gen_train`` pairs gold
+labels with the model's predicted rationale.  ``gen_test`` uses the
+model's own labels and rationales on unlabelled data, so rule induction
+also works transductively.  Both skip instances a manual rule already
+matches, before the model sees them.  Generation and merging drop a rule
+that repeats an earlier one up to id and provenance (``_rule_key``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterable, Optional, Sequence
 
-from .corpus import (
-    NO_RELATION,
-    RelationInstance,
-    shortest_dep_path,
-    token_depth,
-)
+from .corpus import NO_RELATION, RelationInstance, shortest_dep_path
 from .neural import Model
 from .rules import (
     GEN_TEST,
     GEN_TRAIN,
+    MANUAL,
+    Rule,
     RuleSet,
     SyntacticRule,
     first_match,
+    trigger_anchor,
 )
-
-TRAIN_GOLD = "train_gold"
-TEST_PREDICTED = "test_predicted"
-_SOURCES = (TRAIN_GOLD, TEST_PREDICTED)
-
-
-class RuleGenError(Exception):
-    pass
-
-
-@dataclass(frozen=True)
-class GenConfig:
-    source: str = TRAIN_GOLD
-
-    def __post_init__(self) -> None:
-        if self.source not in _SOURCES:
-            raise ValueError(f"source must be one of {_SOURCES}")
 
 
 def _longest_run(bits: Sequence[int], subj_span: tuple[int, int]) -> Optional[tuple[int, int]]:
@@ -81,22 +64,18 @@ def generate_rule(
     inst: RelationInstance,
     label: str,
     rationale: Sequence[int],
-    manual_rules: Optional[RuleSet] = None,
 ) -> Optional[SyntacticRule]:
     """Induce one syntactic rule, or None when the instance yields nothing.
 
-    Returns None when the label is NO_RELATION, the rationale is empty
-    after entity filtering, or a manual rule already matches the instance.
+    Returns None when the label is NO_RELATION or the rationale is empty
+    after entity filtering.  The rule has an empty id and ``gen_train``
+    provenance; ``generate_ruleset`` sets both.
     """
     if label == NO_RELATION:
         return None
-    if manual_rules is not None and first_match(manual_rules, inst) is not None:
-        return None
     n = len(inst.tokens)
     if len(rationale) != n:
-        raise RuleGenError(
-            f"{inst.id}: rationale has {len(rationale)} bits for {n} tokens"
-        )
+        raise ValueError(f"{inst.id}: rationale has {len(rationale)} bits for {n} tokens")
     entity = inst.entity_indices
     bits = [1 if (b and i not in entity) else 0 for i, b in enumerate(rationale)]
     run = _longest_run(bits, inst.subj_span)
@@ -104,13 +83,9 @@ def generate_rule(
         return None
     lo, hi = run
     trigger_words = tuple(inst.tokens[i].form for i in range(lo, hi + 1))
-    anchor = min(range(lo, hi + 1), key=lambda i: (token_depth(inst, i), i))
+    anchor = trigger_anchor(inst, range(lo, hi + 1))
     subj_path, _ = shortest_dep_path(inst, {anchor}, inst.subj_indices)
     obj_path, _ = shortest_dep_path(inst, {anchor}, inst.obj_indices)
-    if not subj_path.steps or not obj_path.steps:
-        # trigger inside an entity span cannot happen (bits exclude them),
-        # so empty paths only arise from degenerate trees; skip those
-        return None
     return SyntacticRule(
         id="",
         label=label,
@@ -124,72 +99,61 @@ def generate_rule(
     )
 
 
-def _rule_key(rule: SyntacticRule):
-    return (
-        rule.label,
-        rule.trigger_field,
-        rule.trigger_alternatives,
-        rule.subj_type,
-        tuple(rule.subj_path.steps),
-        rule.obj_type,
-        tuple(rule.obj_path.steps),
-    )
+def _rule_key(rule: Rule) -> Rule:
+    """A rule's identity: every field that decides what it matches and
+    predicts, so everything but its id and provenance."""
+    return replace(rule, id="", provenance=MANUAL)
 
 
 def generate_ruleset(
     model: Model,
     instances: Sequence[RelationInstance],
     manual_rules: Optional[RuleSet],
-    config: GenConfig,
+    source: str,
     nrc_threshold: float = 0.5,
 ) -> RuleSet:
     """Induce rules over a partition, in instance order.
 
-    ``train_gold`` keeps gold labels and takes the model's rationale;
-    ``test_predicted`` trusts the model for both.  Both predict at
-    ``nrc_threshold``, so a rationale is empty where the gate says no
-    relation.  Instances a manual rule matches are dropped before predicting.
+    ``source`` is the provenance of the rules: ``GEN_TRAIN`` keeps gold
+    labels and takes the model's rationale; ``GEN_TEST`` trusts the model
+    for both.  Both predict at ``nrc_threshold``, so a rationale is empty
+    where the gate says no relation.  Instances a manual rule matches are
+    dropped before predicting.
     """
-    provenance = GEN_TRAIN if config.source == TRAIN_GOLD else GEN_TEST
-    if config.source == TRAIN_GOLD:
+    if source not in (GEN_TRAIN, GEN_TEST):
+        raise ValueError(f"source must be {GEN_TRAIN!r} or {GEN_TEST!r}, got {source!r}")
+    if source == GEN_TRAIN:
         instances = [i for i in instances if i.gold_relation != NO_RELATION]
     if manual_rules is not None:
         instances = [i for i in instances if first_match(manual_rules, i) is None]
     predictions = model.predict_batch(instances, nrc_threshold=nrc_threshold)
     rules: list[SyntacticRule] = []
     seen = set()
-    counter = 0
     for inst, pred in zip(instances, predictions):
-        label = inst.gold_relation if config.source == TRAIN_GOLD else pred.label
+        label = inst.gold_relation if source == GEN_TRAIN else pred.label
         if label == NO_RELATION:
             continue
         bits = tuple(1 if i in pred.rationale else 0 for i in range(len(inst.tokens)))
         rule = generate_rule(inst, label, bits)
         if rule is None:
             continue
-        rule = replace(rule, provenance=provenance)
         key = _rule_key(rule)
         if key in seen:
             continue
         seen.add(key)
-        counter += 1
-        rules.append(replace(rule, id=f"{provenance}-{counter:04d}"))
+        rules.append(replace(rule, id=f"{source}-{len(rules) + 1:04d}", provenance=source))
     return RuleSet(rules)
 
 
 def merge_rulesets(rulesets: Iterable[RuleSet]) -> RuleSet:
-    """Concatenate rule sets in order, dropping exact duplicates later in
-    the order and renaming on id collisions."""
+    """Concatenate rule sets in order, dropping a rule whose ``_rule_key``
+    an earlier rule shares and renaming on id collisions."""
     merged = []
     seen_keys = set()
     seen_ids = set()
     for ruleset in rulesets:
         for rule in ruleset:
-            key = (
-                _rule_key(rule)
-                if isinstance(rule, SyntacticRule)
-                else ("surface", rule.label, rule.elements)
-            )
+            key = _rule_key(rule)
             if key in seen_keys:
                 continue
             seen_keys.add(key)

@@ -29,6 +29,12 @@ The trigger matches on ``word`` (case-sensitive) or ``lemma``
 (case-insensitive), with ``|``-separated alternatives that may be
 multi-word.  Path steps are ``<deprel`` (towards the root), ``>deprel``
 (away from the root), with a ``?`` suffix marking the step optional.
+Both paths start at ``trigger_anchor``, the shallowest token of the
+trigger occurrence; rule induction anchors there too.
+
+``RuleSet`` requires of every rule a unique non-empty id, a non-empty
+positive label and a known provenance; each kind's ``validate`` checks its
+shape.  ``load_rules`` prefixes every error with the file's path.
 """
 
 from __future__ import annotations
@@ -102,10 +108,6 @@ class SurfaceRule:
         for a, b in zip(kinds, kinds[1:]):
             if a == GAP and b == GAP:
                 raise RuleError(f"rule {self.id}: adjacent gaps are redundant")
-        if self.provenance not in _PROVENANCES:
-            raise RuleError(f"rule {self.id}: unknown provenance {self.provenance!r}")
-        if self.label == NO_RELATION:
-            raise RuleError(f"rule {self.id}: rules must carry a positive label")
 
 
 @dataclass(frozen=True)
@@ -134,10 +136,6 @@ class SyntacticRule:
                 raise RuleError(f"rule {self.id}: empty trigger alternative")
         if not self.subj_path.steps or not self.obj_path.steps:
             raise RuleError(f"rule {self.id}: both argument paths need at least one step")
-        if self.provenance not in _PROVENANCES:
-            raise RuleError(f"rule {self.id}: unknown provenance {self.provenance!r}")
-        if self.label == NO_RELATION:
-            raise RuleError(f"rule {self.id}: rules must carry a positive label")
 
 
 Rule = SurfaceRule | SyntacticRule
@@ -158,7 +156,15 @@ class RuleSet:
         self.rules = tuple(rules)
         seen: set[str] = set()
         for rule in self.rules:
+            if not rule.id:
+                raise RuleError(f"rule with label {rule.label!r}: id must not be empty")
             rule.validate()
+            if rule.provenance not in _PROVENANCES:
+                raise RuleError(f"rule {rule.id}: unknown provenance {rule.provenance!r}")
+            if not rule.label:
+                raise RuleError(f"rule {rule.id}: label must not be empty")
+            if rule.label == NO_RELATION:
+                raise RuleError(f"rule {rule.id}: rules must carry a positive label")
             if rule.id in seen:
                 raise RuleError(f"duplicate rule id {rule.id!r}")
             seen.add(rule.id)
@@ -188,8 +194,6 @@ def _parse_pattern(text: str, rule_id: str) -> tuple[PatternElement, ...]:
             elements.append(PatternElement(OBJ_SLOT, piece[4:].upper()))
         else:
             elements.append(PatternElement(LITERAL, piece))
-    if not elements:
-        raise RuleError(f"rule {rule_id}: empty pattern")
     return tuple(elements)
 
 
@@ -256,10 +260,7 @@ def _parse_argument(text: str, prefix: str, rule_id: str) -> tuple[str, DepPath]
     name = head.strip()
     if not name.startswith(prefix) or len(name) <= len(prefix):
         raise RuleError(f"rule {rule_id}: argument name {name!r} must start with {prefix}")
-    path = parse_path(rest.strip(), rule_id)
-    if not path.steps:
-        raise RuleError(f"rule {rule_id}: argument path must have at least one step")
-    return name[len(prefix):].upper(), path
+    return name[len(prefix):].upper(), parse_path(rest.strip(), rule_id)
 
 
 _SURFACE_KEYS = {"id", "kind", "label", "pattern", "provenance"}
@@ -349,7 +350,10 @@ def load_rules(path: str | Path) -> RuleSet:
         raise RuleError(f"cannot read rule file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise RuleError(f"{path}: not valid UTF-8 ({exc})") from exc
-    return parse_rules(text)
+    try:
+        return parse_rules(text)
+    except RuleError as exc:
+        raise RuleError(f"{path}: {exc}") from exc
 
 
 def format_rules(rules: RuleSet) -> str:
@@ -377,8 +381,6 @@ def save_rules(rules: RuleSet, path: str | Path) -> None:
 
 def _match_surface(rule: SurfaceRule, inst: RelationInstance,
                    seq: Optional[MaskedSequence]) -> Optional[RuleMatch]:
-    if rule.subj_type != inst.subj_type.upper() or rule.obj_type != inst.obj_type.upper():
-        return None
     symbols = inst.masked_symbols if seq is None else seq.symbols
     n = len(symbols)
     subj_lo = inst.subj_span[0] + 1  # +1 for [CLS]
@@ -468,13 +470,16 @@ def _trigger_occurrences(rule: SyntacticRule, inst: RelationInstance) -> list[tu
     return found
 
 
+def trigger_anchor(inst: RelationInstance, span: Iterable[int]) -> int:
+    """The shallowest token of a trigger span, leftmost on ties: where the
+    dependency paths start, in matching and in rule induction alike."""
+    return min(span, key=lambda i: (token_depth(inst, i), i))
+
+
 def _match_syntactic(rule: SyntacticRule, inst: RelationInstance) -> Optional[RuleMatch]:
-    if rule.subj_type != inst.subj_type.upper() or rule.obj_type != inst.obj_type.upper():
-        return None
     for start, length in _trigger_occurrences(rule, inst):
-        span = list(range(start, start + length))
-        # anchor on the shallowest token of the occurrence, leftmost on ties
-        anchor = min(span, key=lambda i: (token_depth(inst, i), i))
+        span = range(start, start + length)
+        anchor = trigger_anchor(inst, span)
         subj_actual, _ = shortest_dep_path(inst, {anchor}, inst.subj_indices)
         if not _path_matches(rule.subj_path, subj_actual):
             continue
@@ -493,6 +498,8 @@ def match_rule(rule: Rule, inst: RelationInstance,
     masked sequence.  When a rule matches in several places only the first
     match (smallest trigger position) is reported.
     """
+    if rule.subj_type != inst.subj_type.upper() or rule.obj_type != inst.obj_type.upper():
+        return None
     if isinstance(rule, SurfaceRule):
         return _match_surface(rule, inst, seq)
     return _match_syntactic(rule, inst)

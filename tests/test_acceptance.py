@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,10 +32,9 @@ from rexl.corpus import NO_RELATION
 from rexl.evalmetrics import ec_overlap, rc_micro
 from rexl.neural import InstanceTargets, Model, ModelConfig
 from rexl.neural.losses import binary_cross_entropy, categorical_cross_entropy
-from rexl.rulegen import GenConfig, TEST_PREDICTED, TRAIN_GOLD, generate_rule, \
-    generate_ruleset, merge_rulesets
-from rexl.rules import RuleSet, annotate_explanations, match_rule, \
-    predict_with_rules
+from rexl.rulegen import generate_rule, generate_ruleset, merge_rulesets
+from rexl.rules import GEN_TEST, GEN_TRAIN, RuleSet, annotate_explanations, \
+    first_match, match_rule, predict_with_rules
 from rexl.trainer import TrainConfig, generate_candidates, select_candidate, \
     train
 
@@ -270,7 +270,6 @@ def test_rationales_recover_rule_tokens_better_than_baselines(corpus,
 
 
 def test_generated_rules_rematch_their_source_instances(corpus, manual_rules,
-                                                        annotations,
                                                         full_models):
     model, _ = full_models[0]
     checked = 0
@@ -278,17 +277,16 @@ def test_generated_rules_rematch_their_source_instances(corpus, manual_rules,
     positives = [i for i in corpus.train if i.gold_relation != NO_RELATION]
     predicted = {p.instance_id: p for p in model.predict_batch(positives)}
     for inst in positives:
-        ann = annotations.get(inst.id)
-        if ann is not None:
-            bits = ann.bits
-        else:
-            rationale = predicted[inst.id].rationale
-            bits = tuple(1 if i in rationale else 0
-                         for i in range(len(inst.tokens)))
-        rule = generate_rule(inst, inst.gold_relation, bits,
-                             manual_rules=manual_rules)
+        # as in generate_ruleset, instances a manual rule matches are skipped
+        if first_match(manual_rules, inst) is not None:
+            continue
+        rationale = predicted[inst.id].rationale
+        bits = tuple(1 if i in rationale else 0
+                     for i in range(len(inst.tokens)))
+        rule = generate_rule(inst, inst.gold_relation, bits)
         if rule is None:
             continue
+        rule = replace(rule, id="induced")
         assert match_rule(rule, inst) is not None, inst.id
         assert predict_with_rules(RuleSet([rule]), inst) == inst.gold_relation
         checked += 1
@@ -301,6 +299,7 @@ def test_generated_rules_rematch_their_source_instances(corpus, manual_rules,
         rule = generate_rule(inst, pred.label, bits)
         if rule is None:
             continue
+        rule = replace(rule, id="induced")
         assert match_rule(rule, inst) is not None, inst.id
         assert predict_with_rules(RuleSet([rule]), inst) == pred.label
         checked += 1
@@ -312,10 +311,8 @@ def test_merged_rules_double_recall_and_approach_neural_f1(corpus,
                                                            manual_rules,
                                                            full_models):
     model, _ = full_models[0]
-    gen_train = generate_ruleset(model, list(corpus.train), manual_rules,
-                                 GenConfig(source=TRAIN_GOLD))
-    gen_test = generate_ruleset(model, list(corpus.test), manual_rules,
-                                GenConfig(source=TEST_PREDICTED))
+    gen_train = generate_ruleset(model, list(corpus.train), manual_rules, GEN_TRAIN)
+    gen_test = generate_ruleset(model, list(corpus.test), manual_rules, GEN_TEST)
     merged = merge_rulesets([manual_rules, gen_train, gen_test])
 
     gold = {i.id: i.gold_relation for i in corpus.test}

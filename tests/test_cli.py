@@ -5,7 +5,7 @@ import yaml
 from click.testing import CliRunner
 
 from rexl.cli import main
-from rexl.corpus import load_corpus
+from rexl.corpus import NO_RELATION, load_corpus
 from rexl.rulegen import merge_rulesets
 from rexl.rules import first_match, load_rules, predict_with_rules
 
@@ -288,6 +288,47 @@ class TestFailures:
         )
         assert result.exit_code == 1
         assert "missing-999" in result.output
+
+
+_EXTRA_RULE = ("id: extra-01\nkind: syntactic\nlabel: per:children\ntrigger: word=daughter\n"
+               "subject: SUBJ_PERSON = >nmod:poss\nobject: OBJ_PERSON = >appos\n")
+
+
+class TestBadRuleFile:
+    def _run_rules(self, workspace, tmp_path, text):
+        root, runner = workspace
+        extra = tmp_path / "extra.txt"
+        extra.write_text(text)
+        argv = ["run-rules", "--data", str(root / "data"), "--split", "test",
+                "--rules", str(root / "manual_rules.txt"), "--rules", str(extra),
+                "--out", str(tmp_path / "r.jsonl")]
+        return extra, runner.invoke(main, argv)
+
+    def test_the_undamaged_file_runs(self, workspace, tmp_path):
+        _, result = self._run_rules(workspace, tmp_path, _EXTRA_RULE)
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("damage,message", [
+        (lambda t: t.replace("label: per:children\n", ""),
+         "block at line 1: missing key 'label'"),
+        (lambda t: t + "label: per:spouse\n", "line 7: duplicate key 'label'"),
+        (lambda t: t.replace("kind: syntactic", "kind: regex"), "unknown rule kind 'regex'"),
+        (lambda t: t.replace(">appos", "~appos"), "path step '~appos'"),
+        (lambda t: t.replace("word=daughter", "word="), "trigger needs at least one alternative"),
+        (lambda t: t.replace("per:children", NO_RELATION), "rules must carry a positive label"),
+        (lambda t: t + "\n" + t, "duplicate rule id 'extra-01'"),
+        (lambda t: t.replace("id: extra-01", "id: "), "id must not be empty"),
+        (lambda t: t.replace("label: per:children", "label: "), "label must not be empty"),
+    ], ids=["missing-key", "duplicate-key", "unknown-kind", "bad-path-step", "empty-trigger",
+            "no-relation-label", "duplicate-id", "empty-id", "empty-label"])
+    def test_one_error_line_names_the_file(self, workspace, tmp_path, damage, message):
+        extra, result = self._run_rules(workspace, tmp_path, damage(_EXTRA_RULE))
+        assert result.exit_code == 1, result.output
+        assert "Traceback" not in result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"Error: {extra}: "), lines
+        assert message in lines[0]
+        assert not (tmp_path / "r.jsonl").exists()
 
 
 class TestEmptyDev:

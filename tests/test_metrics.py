@@ -152,6 +152,17 @@ class TestAnnotationFile:
             load_annotations(path)
         assert str(err.value).startswith(f"{path}:2: 'y': {key} must be a list")
 
+    @pytest.mark.parametrize("iid", [5, None, 1.5, True, ["x"]],
+                             ids=["int", "null", "float", "bool", "list"])
+    def test_id_that_is_not_a_string_rejected_with_file_line(self, tmp_path, iid):
+        path = tmp_path / "ann.jsonl"
+        good = json.dumps({"id": "x", "tokens_a": [1], "tokens_b": [2]})
+        bad = json.dumps({"id": iid, "tokens_a": [0], "tokens_b": [3]})
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(EvalError) as err:
+            load_annotations(path)
+        assert str(err.value) == f"{path}:2: id must be a string, got {iid!r}"
+
     def test_line_that_is_not_an_object_rejected(self, tmp_path):
         path = tmp_path / "ann.jsonl"
         path.write_text("5\n")

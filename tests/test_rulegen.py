@@ -6,18 +6,11 @@ from hypothesis import strategies as st
 from rexl import synth
 from rexl.corpus import NO_RELATION
 from rexl.neural import Model, ModelConfig, Prediction
-from rexl.rulegen import (
-    GenConfig,
-    RuleGenError,
-    TEST_PREDICTED,
-    TRAIN_GOLD,
-    generate_rule,
-    generate_ruleset,
-    merge_rulesets,
-)
+from rexl.rulegen import generate_rule, generate_ruleset, merge_rulesets
 from rexl.rules import (
     GEN_TEST,
     GEN_TRAIN,
+    MANUAL,
     format_path,
     format_rules,
     match_rule,
@@ -81,36 +74,8 @@ class TestSingleRule:
                              _bits(family_instance)) is None
 
     def test_rationale_length_must_match(self, family_instance):
-        with pytest.raises(RuleGenError, match="bits"):
+        with pytest.raises(ValueError, match="bits"):
             generate_rule(family_instance, "per:children", (1, 0))
-
-    def test_manual_match_suppresses_generation_for_any_label(self, family_instance):
-        # the manual rule carries a different label; matching is what counts
-        manual = parse_rules(
-            "id: manual-01\n"
-            "kind: syntactic\n"
-            "label: per:spouse\n"
-            "trigger: word=daughter\n"
-            "subject: SUBJ_PERSON = >nmod:poss\n"
-            "object: OBJ_PERSON = >appos\n"
-        )
-        assert match_rule(manual[0], family_instance) is not None
-        bits = _bits(family_instance, 2)
-        assert generate_rule(family_instance, "per:children", bits,
-                             manual_rules=manual) is None
-
-    def test_non_matching_manual_rules_do_not_suppress(self, family_instance):
-        manual = parse_rules(
-            "id: manual-01\n"
-            "kind: syntactic\n"
-            "label: per:spouse\n"
-            "trigger: word=wife\n"
-            "subject: SUBJ_PERSON = >nmod:poss\n"
-            "object: OBJ_PERSON = >appos\n"
-        )
-        rule = generate_rule(family_instance, "per:children",
-                             _bits(family_instance, 2), manual_rules=manual)
-        assert rule is not None
 
 
 class _FixedRationale:
@@ -131,8 +96,7 @@ class _FixedRationale:
 class TestRulesetGeneration:
     def test_gold_source_ids_and_dedupe(self, family_instance):
         rules = generate_ruleset(
-            _FixedRationale(2), [family_instance, family_instance], None,
-            GenConfig(source=TRAIN_GOLD),
+            _FixedRationale(2), [family_instance, family_instance], None, GEN_TRAIN,
         )
         assert len(rules) == 1
         assert rules[0].id == f"{GEN_TRAIN}-0001"
@@ -140,9 +104,7 @@ class TestRulesetGeneration:
 
     def test_predicted_source_uses_model_labels(self, setup):
         model, corpus, _ = setup
-        rules = generate_ruleset(
-            model, list(corpus.test), None, GenConfig(source=TEST_PREDICTED),
-        )
+        rules = generate_ruleset(model, list(corpus.test), None, GEN_TEST)
         for rule in rules:
             assert rule.provenance == GEN_TEST
             assert rule.id.startswith(f"{GEN_TEST}-")
@@ -150,14 +112,12 @@ class TestRulesetGeneration:
             assert rule.label in model.class_labels
 
     def test_generated_rules_round_trip_through_text(self, family_instance):
-        rules = generate_ruleset(
-            _FixedRationale(2), [family_instance], None, GenConfig(source=TRAIN_GOLD),
-        )
+        rules = generate_ruleset(_FixedRationale(2), [family_instance], None, GEN_TRAIN)
         back = parse_rules(format_rules(rules))
         assert len(back) == len(rules) == 1
         assert back[0] == rules[0]
 
-    @pytest.mark.parametrize("source", [TRAIN_GOLD, TEST_PREDICTED])
+    @pytest.mark.parametrize("source", [GEN_TRAIN, GEN_TEST])
     def test_manual_matches_never_reach_the_model(self, source, family_instance,
                                                   birth_instance):
         manual = parse_rules(
@@ -169,21 +129,44 @@ class TestRulesetGeneration:
             "object: OBJ_PERSON = >appos\n"
         )
         model = _FixedRationale(2)
-        rules = generate_ruleset(model, [family_instance, birth_instance], manual,
-                                 GenConfig(source=source))
+        rules = generate_ruleset(model, [family_instance, birth_instance], manual, source)
         assert model.seen == [birth_instance.id]
         assert [r.label for r in rules] == [birth_instance.gold_relation]
 
-    @pytest.mark.parametrize("source", [TRAIN_GOLD, TEST_PREDICTED])
+    def test_non_matching_manual_rules_do_not_suppress(self, family_instance):
+        manual = parse_rules(
+            "id: manual-01\n"
+            "kind: syntactic\n"
+            "label: per:spouse\n"
+            "trigger: word=wife\n"
+            "subject: SUBJ_PERSON = >nmod:poss\n"
+            "object: OBJ_PERSON = >appos\n"
+        )
+        rules = generate_ruleset(_FixedRationale(2), [family_instance], manual, GEN_TRAIN)
+        assert [r.trigger_alternatives for r in rules] == [(("daughter",),)]
+
+    @pytest.mark.parametrize("source", [GEN_TRAIN, GEN_TEST])
     def test_both_sources_predict_at_the_given_threshold(self, source, family_instance):
         model = _FixedRationale(2)
-        generate_ruleset(model, [family_instance], None, GenConfig(source=source),
-                         nrc_threshold=0.8)
+        generate_ruleset(model, [family_instance], None, source, nrc_threshold=0.8)
         assert model.thresholds == [0.8]
 
-    def test_unknown_source_rejected(self):
+    @pytest.mark.parametrize("source", ["dev_gold", "train_gold", MANUAL])
+    def test_unknown_source_rejected(self, source, family_instance):
+        model = _FixedRationale(2)
         with pytest.raises(ValueError, match="source"):
-            GenConfig(source="dev_gold")
+            generate_ruleset(model, [family_instance], None, source)
+        assert model.seen == []
+
+
+_SYNTACTIC = {"kind": "syntactic", "label": "per:children", "trigger": "word=daughter",
+              "subject": "SUBJ_PERSON = >nmod:poss", "object": "OBJ_PERSON = >appos"}
+_SURFACE = {"kind": "surface", "label": "per:city_of_birth",
+            "pattern": "SUBJ-PERSON was born in * OBJ-CITY"}
+
+
+def _block(rid, fields):
+    return f"id: {rid}\n" + "".join(f"{k}: {v}\n" for k, v in fields.items()) + "\n"
 
 
 class TestMerge:
@@ -198,12 +181,28 @@ class TestMerge:
             "\n"
         )
 
-    def test_order_kept_and_duplicates_dropped(self):
-        a = parse_rules(self._rule_text("a-01", "daughter"))
-        b = parse_rules(self._rule_text("b-01", "daughter")
-                        + self._rule_text("b-02", "son"))
+    @pytest.mark.parametrize("first,second,kept", [
+        (_SYNTACTIC, _SYNTACTIC, False),
+        (_SURFACE, _SURFACE, False),
+        (_SYNTACTIC, {**_SYNTACTIC, "provenance": GEN_TRAIN}, False),
+        (_SURFACE, {**_SURFACE, "provenance": GEN_TEST}, False),
+        (_SYNTACTIC, {**_SYNTACTIC, "label": "per:spouse"}, True),
+        (_SYNTACTIC, {**_SYNTACTIC, "trigger": "lemma=daughter"}, True),
+        (_SYNTACTIC, {**_SYNTACTIC, "trigger": "word=daughter|son"}, True),
+        (_SYNTACTIC, {**_SYNTACTIC, "subject": "SUBJ_PERSON = >nmod:poss?"}, True),
+        (_SYNTACTIC, {**_SYNTACTIC, "object": "OBJ_CITY = >appos"}, True),
+        (_SURFACE, {**_SURFACE, "pattern": "SUBJ-PERSON was born at * OBJ-CITY"}, True),
+        (_SURFACE, {**_SURFACE, "label": "per:city_of_death"}, True),
+    ], ids=["syntactic", "surface", "syntactic-provenance", "surface-provenance",
+            "label", "trigger-field", "trigger-words", "subject-path", "object-type",
+            "pattern", "surface-label"])
+    def test_order_kept_and_duplicates_dropped(self, first, second, kept):
+        # a repeat differs at most in id and provenance; any other field keeps it
+        a = parse_rules(_block("a-01", first))
+        b = parse_rules(_block("b-01", second) + self._rule_text("b-02", "son"))
         merged = merge_rulesets([a, b])
-        assert [r.id for r in merged] == ["a-01", "b-02"]
+        expected = ["a-01", "b-01", "b-02"] if kept else ["a-01", "b-02"]
+        assert [r.id for r in merged] == expected
 
     def test_id_collision_renames_the_later_rule(self):
         a = parse_rules(self._rule_text("r-01", "daughter"))

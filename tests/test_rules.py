@@ -119,6 +119,20 @@ class TestParsing:
             parse_rules(text)
 
 
+class TestRuleSetChecks:
+    @pytest.mark.parametrize("text", [BIRTH_RULE, FAMILY_RULE], ids=["surface", "syntactic"])
+    @pytest.mark.parametrize("change,message", [
+        ({"id": ""}, "id must not be empty"),
+        ({"label": ""}, "label must not be empty"),
+        ({"label": NO_RELATION}, "positive label"),
+        ({"provenance": "borrowed"}, "unknown provenance"),
+    ], ids=["empty-id", "empty-label", "no-relation", "provenance"])
+    def test_both_kinds_meet_the_shared_checks(self, text, change, message):
+        (rule,) = parse_rules(text)
+        with pytest.raises(RuleError, match=message):
+            RuleSet([replace(rule, **change)])
+
+
 class TestSurfaceMatching:
     def test_birth_fixture_triggers(self, birth_instance):
         (rule,) = parse_rules(BIRTH_RULE)
