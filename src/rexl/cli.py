@@ -164,7 +164,14 @@ def train_cmd(data: str, out: str, rules_path: Optional[str],
     corpus = load_corpus(data)
     annotations = {}
     if rules_path:
-        annotations = annotate_explanations(load_rules(rules_path), corpus.train)
+        rules = load_rules(rules_path)
+        for rule in rules:
+            # annotate_explanations keeps only matches of the gold label, so
+            # a rule of an unknown label would drop its supervision silently
+            if rule.label not in corpus.relation_vocab:
+                raise RuleError(f"{rules_path}: rule {rule.id}: label {rule.label!r} "
+                                f"is not a relation of the corpus")
+        annotations = annotate_explanations(rules, corpus.train)
     manifest = RunManifest(command="train", seed=config.model.seed,
                            config=config.to_dict())
     manifest.inputs.append(data)

@@ -341,9 +341,21 @@ class Model:
     # public single-instance operations
 
     def encode(self, seq: MaskedSequence) -> EncoderOutput:
-        ids, pos, mask = self._full_batch([seq])
+        """``encode_batch`` of one sequence: the oracle batched callers are tested against."""
+        return self.encode_batch([seq])[0]
+
+    def encode_batch(self, seqs: Sequence[MaskedSequence]) -> list[EncoderOutput]:
+        """One eval-mode encoder pass over many sequences, each output trimmed to its
+        own length.  A row may differ from the same sequence encoded alone by about
+        1e-16, as kernels round per batch shape."""
+        if not seqs:
+            return []
+        ids, pos, mask = self._full_batch(seqs)
         h, attns, _ = encoder_forward(self.params, self.config, ids, pos, mask)
-        return EncoderOutput(hidden=h[0], attentions=tuple(a[0] for a in attns))
+        return [
+            EncoderOutput(hidden=h[i, :n], attentions=tuple(a[i, :, :n, :n] for a in attns))
+            for i, n in enumerate(len(seq) for seq in seqs)
+        ]
 
     def rationale_scores(self, enc: EncoderOutput, inst: RelationInstance) -> np.ndarray:
         """Per-original-token importance scores; entity positions come back 0."""

@@ -71,7 +71,10 @@ OBJ_SLOT = "obj"
 
 
 class RuleError(Exception):
-    """Raised for unparseable or invalid rules."""
+    """Raised for unparseable or invalid rules.  A ``RuleSet`` sets ``rule_index``
+    to the position of the rule it rejects, so a parser can name its block."""
+
+    rule_index: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -155,18 +158,22 @@ class RuleSet:
     def __init__(self, rules: Sequence[Rule]):
         self.rules = tuple(rules)
         seen: set[str] = set()
-        for rule in self.rules:
-            if not rule.id:
-                raise RuleError(f"rule with label {rule.label!r}: id must not be empty")
-            rule.validate()
-            if rule.provenance not in _PROVENANCES:
-                raise RuleError(f"rule {rule.id}: unknown provenance {rule.provenance!r}")
-            if not rule.label:
-                raise RuleError(f"rule {rule.id}: label must not be empty")
-            if rule.label == NO_RELATION:
-                raise RuleError(f"rule {rule.id}: rules must carry a positive label")
-            if rule.id in seen:
-                raise RuleError(f"duplicate rule id {rule.id!r}")
+        for index, rule in enumerate(self.rules):
+            try:
+                if not rule.id:
+                    raise RuleError(f"rule with label {rule.label!r}: id must not be empty")
+                rule.validate()
+                if rule.provenance not in _PROVENANCES:
+                    raise RuleError(f"rule {rule.id}: unknown provenance {rule.provenance!r}")
+                if not rule.label:
+                    raise RuleError(f"rule {rule.id}: label must not be empty")
+                if rule.label == NO_RELATION:
+                    raise RuleError(f"rule {rule.id}: rules must carry a positive label")
+                if rule.id in seen:
+                    raise RuleError(f"duplicate rule id {rule.id!r}")
+            except RuleError as exc:
+                exc.rule_index = index
+                raise
             seen.add(rule.id)
 
     def __len__(self) -> int:
@@ -340,7 +347,12 @@ def parse_rules(text: str) -> RuleSet:
         else:
             raise RuleError(f"{where}: unknown rule kind {kind!r}")
         rules.append(rule)
-    return RuleSet(rules)
+    try:
+        return RuleSet(rules)
+    except RuleError as exc:
+        if exc.rule_index is None:
+            raise
+        raise RuleError(f"block at line {blocks[exc.rule_index][0]}: {exc}") from exc
 
 
 def load_rules(path: str | Path) -> RuleSet:

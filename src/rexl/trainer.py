@@ -160,6 +160,9 @@ def select_candidate(
         raise ValueError(f"{inst.id}: empty candidate list")
     if gold_label == NO_RELATION:
         raise ValueError(f"{inst.id}: latent search needs a positive label")
+    if len(candidates) == 1:
+        # a lone candidate is the first argmax of any scores: no forward needed
+        return ExplanationLabels(bits=tuple(candidates[0]), source=SOURCE_LATENT)
     probs = model.candidate_scores(inst, candidates, gold_label, seq=seq)
     best = int(np.argmax(probs))
     return ExplanationLabels(bits=tuple(candidates[best]), source=SOURCE_LATENT)
@@ -262,15 +265,18 @@ def _pseudo_label_batch(
     config: TrainConfig,
     candidate_counts: list[int],
 ) -> dict[str, ExplanationLabels]:
-    """Latent rationale search for unannotated positives, one scoring pass."""
+    """Latent rationale search for unannotated positives: one eval-mode encoder
+    pass scores them all (the training forward applies dropout), then each
+    picks its candidate."""
     need = [
         inst for inst in batch
         if inst.gold_relation != NO_RELATION and inst.id not in rule_annotations
     ]
+    encoded = model.encode_batch([seqs[inst.id] for inst in need])
     out: dict[str, ExplanationLabels] = {}
-    for inst in need:
+    for inst, enc in zip(need, encoded):
         seq = seqs[inst.id]
-        scores = model.rationale_scores(model.encode(seq), inst)
+        scores = model.rationale_scores(enc, inst)
         candidates = generate_candidates(
             scores, config.t_low, config.t_up, cap=config.candidate_cap
         )

@@ -1,12 +1,16 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_instance
+from rexl import synth
 from rexl.corpus import NO_RELATION, SOURCE_LATENT
-from rexl.trainer import generate_candidates, select_candidate
+from rexl.neural import Model
+from rexl.trainer import TrainConfig, generate_candidates, select_candidate
 
 
 def _oracle(scores, t_low, t_up):
@@ -140,3 +144,64 @@ class TestSelection:
         with pytest.raises(ValueError, match="positive"):
             select_candidate([(0,) * 9], family_instance, NO_RELATION,
                              _StubModel([0.5]))
+
+
+class _NoForwardModel:
+    def candidate_scores(self, inst, candidates, label, seq=None):
+        raise AssertionError("scored candidates")
+
+
+class TestSingleCandidate:
+    def test_lone_candidate_returned_without_a_forward(self, family_instance):
+        only = (0, 0, 1, 0, 0, 0, 1, 0, 0)
+        chosen = select_candidate([only], family_instance, "per:children", _NoForwardModel())
+        assert chosen.bits == only
+        assert chosen.source == SOURCE_LATENT
+
+    def test_empty_list_still_rejected(self, family_instance):
+        with pytest.raises(ValueError, match="empty"):
+            select_candidate([], family_instance, "per:children", _NoForwardModel())
+
+    def test_negative_label_still_rejected(self, family_instance):
+        with pytest.raises(ValueError, match="positive"):
+            select_candidate([(0,) * 9], family_instance, NO_RELATION, _NoForwardModel())
+
+
+def _longest_instance(n_tokens, relation):
+    """A valid positive of ``n_tokens`` tokens: a chain under token 0, entities
+    at the first two tokens, every other token context."""
+    return make_instance(
+        forms=[f"w{i}" for i in range(n_tokens)],
+        heads=[None] + list(range(n_tokens - 1)),
+        deprels=["root"] + ["dep"] * (n_tokens - 1),
+        subj_span=(0, 0),
+        obj_span=(1, 1),
+        relation=relation,
+        instance_id="longest-0",
+    )
+
+
+def test_worst_case_search_at_max_length_hits_the_cap_and_stays_exact():
+    spec = synth.GeneratorSpec(train_size=32, dev_size=8, test_size=8)
+    corpus = synth.gen_synthetic(spec, 7)
+    config = TrainConfig()
+    model = Model.create(config.model, corpus.token_vocab, corpus.relation_vocab)
+    label = corpus.relation_vocab[0]
+    inst = _longest_instance(config.model.max_seq_len - 1, label)
+    seq = model.masked(inst)
+    assert len(seq) == config.model.max_seq_len
+    scores = [0.0 if i in inst.entity_indices else 0.5 for i in range(len(inst.tokens))]
+    candidates = generate_candidates(scores, config.t_low, config.t_up, cap=config.candidate_cap)
+    assert len(candidates) == config.candidate_cap == 256
+
+    start = time.perf_counter()
+    chosen = select_candidate(candidates, inst, label, model, seq=seq)
+    assert time.perf_counter() - start < 5.0
+
+    ci = model.class_index(label)
+    probs = [float(model.relation_distribution(inst, c, seq=seq)[ci]) for c in candidates]
+    assert max(probs) - min(probs) > 1e-6  # the pick is not a tie of everything
+    pick = candidates.index(chosen.bits)
+    # the batched and one-row forwards may round differently by about 1e-16
+    assert probs[pick] >= max(probs) - 1e-9
+    assert all(p <= probs[pick] + 1e-9 for p in probs[:pick])

@@ -315,10 +315,13 @@ class TestBadRuleFile:
         (lambda t: t.replace("kind: syntactic", "kind: regex"), "unknown rule kind 'regex'"),
         (lambda t: t.replace(">appos", "~appos"), "path step '~appos'"),
         (lambda t: t.replace("word=daughter", "word="), "trigger needs at least one alternative"),
-        (lambda t: t.replace("per:children", NO_RELATION), "rules must carry a positive label"),
-        (lambda t: t + "\n" + t, "duplicate rule id 'extra-01'"),
-        (lambda t: t.replace("id: extra-01", "id: "), "id must not be empty"),
-        (lambda t: t.replace("label: per:children", "label: "), "label must not be empty"),
+        (lambda t: t.replace("per:children", NO_RELATION),
+         "block at line 1: rule extra-01: rules must carry a positive label"),
+        (lambda t: t + "\n" + t, "block at line 8: duplicate rule id 'extra-01'"),
+        (lambda t: t.replace("id: extra-01", "id: "),
+         "block at line 1: rule with label 'per:children': id must not be empty"),
+        (lambda t: t.replace("label: per:children", "label: "),
+         "block at line 1: rule extra-01: label must not be empty"),
     ], ids=["missing-key", "duplicate-key", "unknown-kind", "bad-path-step", "empty-trigger",
             "no-relation-label", "duplicate-id", "empty-id", "empty-label"])
     def test_one_error_line_names_the_file(self, workspace, tmp_path, damage, message):
@@ -329,6 +332,30 @@ class TestBadRuleFile:
         assert len(lines) == 1 and lines[0].startswith(f"Error: {extra}: "), lines
         assert message in lines[0]
         assert not (tmp_path / "r.jsonl").exists()
+
+
+class TestTrainRuleLabels:
+    def test_seed_rules_name_only_relations_of_the_corpus(self, workspace):
+        root, _ = workspace
+        corpus = load_corpus(root / "data")
+        assert {rule.label for rule in load_rules(root / "manual_rules.txt")} <= set(
+            corpus.relation_vocab)
+
+    def test_a_label_outside_the_corpus_is_one_error_line(self, workspace, tmp_path):
+        root, runner = workspace
+        rules = tmp_path / "typo.txt"
+        rules.write_text((root / "manual_rules.txt").read_text() + "\n"
+                         + _EXTRA_RULE.replace("per:children", "per:chilren"))
+        out = tmp_path / "m.ckpt"
+        result = runner.invoke(main, ["train", "--data", str(root / "data"), "--out", str(out),
+                                      "--rules", str(rules),
+                                      "--config", str(root / "train.yaml")])
+        assert result.exit_code == 1, result.output
+        assert "Traceback" not in result.output
+        lines = result.output.strip().splitlines()
+        assert lines == [f"Error: {rules}: rule extra-01: label 'per:chilren' "
+                         f"is not a relation of the corpus"]
+        assert not out.exists()
 
 
 class TestEmptyDev:

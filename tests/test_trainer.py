@@ -21,7 +21,10 @@ from rexl.trainer import (
     TrainConfig,
     TrainLog,
     TrainingError,
+    _pseudo_label_batch,
     _targets_for,
+    generate_candidates,
+    select_candidate,
     train,
 )
 
@@ -150,6 +153,68 @@ class TestCheckpoint:
         before = model.predict_batch(instances)
         assert any(p.label != NO_RELATION for p in before)
         assert back.predict_batch(instances) == before
+
+
+@pytest.fixture(scope="module")
+def search_setup():
+    """A model after one SSL epoch, on a corpus with a few dozen unannotated positives."""
+    spec = synth.GeneratorSpec(train_size=96, dev_size=8, test_size=8)
+    corpus = synth.gen_synthetic(spec, 7)
+    ann = annotate_explanations(synth.seed_rules(spec), corpus.train)
+    model, _ = train(corpus, ann, _config())
+    return corpus, ann, model
+
+
+class TestBatchedSearch:
+    """Latent search scores a batch in one encoder pass; the per-instance
+    path (one ``encode`` each, then ``select_candidate``) is its oracle."""
+
+    def test_encode_batch_rows_match_one_row_encode(self, search_setup):
+        corpus, _, trained = search_setup
+        seqs = [trained.masked(inst) for inst in corpus.train]
+        assert len({len(seq) for seq in seqs}) > 1, "rows must need padding"
+        for seq, enc in zip(seqs, trained.encode_batch(seqs)):
+            one = trained.encode(seq)
+            assert enc.hidden.shape == one.hidden.shape == (len(seq), 16)
+            np.testing.assert_allclose(enc.hidden, one.hidden, rtol=0, atol=1e-12)
+            assert len(enc.attentions) == len(one.attentions)
+            for a, b in zip(enc.attentions, one.attentions):
+                assert a.shape == b.shape == (2, len(seq), len(seq))
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        assert trained.encode_batch([]) == []
+
+    # the defaults, then thresholds wide enough that searches hit a small cap
+    @pytest.mark.parametrize("t_low,t_up,cap", [(0.2, 0.8, 256), (0.05, 0.95, 16)])
+    def test_pseudo_labels_match_the_per_instance_path(self, search_setup, t_low, t_up, cap):
+        corpus, ann, trained = search_setup
+        config = TrainConfig(t_low=t_low, t_up=t_up, candidate_cap=cap,
+                             model=trained.config)
+        seqs = {inst.id: trained.masked(inst) for inst in corpus.train}
+        bs = trained.config.batch_size
+        compared = 0
+        all_counts: list[int] = []
+        for lo in range(0, len(corpus.train), bs):
+            batch = corpus.train[lo:lo + bs]
+            counts: list[int] = []
+            got = _pseudo_label_batch(trained, batch, seqs, ann, config, counts)
+            all_counts += counts
+            need = [inst for inst in batch
+                    if inst.gold_relation != NO_RELATION and inst.id not in ann]
+            assert sorted(got) == sorted(inst.id for inst in need)
+            for inst, count in zip(need, counts, strict=True):
+                seq = seqs[inst.id]
+                scores = trained.rationale_scores(trained.encode(seq), inst)
+                # one-row and batched encodes may round apart by about 1e-16,
+                # which can move a score that sits on a threshold
+                if np.any(np.abs(scores - t_low) < 1e-9) or np.any(np.abs(scores - t_up) < 1e-9):
+                    continue
+                candidates = generate_candidates(scores, t_low, t_up, cap=cap)
+                want = select_candidate(candidates, inst, inst.gold_relation, trained, seq=seq)
+                assert (got[inst.id], count) == (want, len(candidates)), inst.id
+                compared += 1
+        assert compared >= 20
+        if cap < 256:
+            assert cap in all_counts
 
 
 def _table_instance(iid, relation):
