@@ -5,12 +5,11 @@ from .model import (
     ABLATE_RATIONALE,
     CheckpointError,
     EncoderOutput,
-    InstanceTargets,
     Model,
     Prediction,
     SequenceTooLongError,
 )
-from .optim import AdamW, linear_schedule
+from .optim import AdamW
 
 __all__ = [
     "ABLATE_GATE",
@@ -18,12 +17,10 @@ __all__ = [
     "AdamW",
     "CheckpointError",
     "EncoderOutput",
-    "InstanceTargets",
     "Model",
     "ModelConfig",
     "Prediction",
     "SequenceTooLongError",
     "binary_cross_entropy",
     "categorical_cross_entropy",
-    "linear_schedule",
 ]

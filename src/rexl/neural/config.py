@@ -31,6 +31,16 @@ class ModelConfig:
             raise ValueError("dropout must be in [0, 1)")
         if self.max_seq_len <= 1:
             raise ValueError("max_seq_len must allow at least [CLS] plus one token")
+        if self.ff_mult < 1:
+            raise ValueError(f"ff_mult must be at least 1, got {self.ff_mult}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not self.learning_rate > 0.0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not self.weight_decay >= 0.0:
+            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
 
     @property
     def d_head(self) -> int:

@@ -17,6 +17,9 @@ holds the attribution methods but saliency, which needs its backward pass.
 Ablations: ``ablate="nrc"`` drops the gate and adds a NO_RELATION class to
 the relation head; ``ablate="ec"`` drops the rationale head and pools the
 full non-entity context.
+
+``Model.supervision`` is the one place the training table lives: which
+head learns from an instance, under each ablation, and on which bits.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import numpy as np
 
 from ..corpus import (
     CorpusError,
+    ExplanationLabels,
     MaskedSequence,
     NO_RELATION,
     RelationInstance,
@@ -70,17 +74,6 @@ class Prediction:
     label: str
     rationale: tuple[int, ...]  # original token indices
     gate_prob: Optional[float]
-
-
-@dataclass(frozen=True)
-class InstanceTargets:
-    """Supervision for one instance inside a training batch."""
-
-    has_relation: bool
-    relation_index: Optional[int] = None
-    rationale_bits: Optional[tuple[int, ...]] = None
-    train_rationale: bool = False
-    train_relation: bool = False
 
 
 def param_specs(cfg: ModelConfig, vocab_size: int, n_classes: int):
@@ -407,13 +400,36 @@ class Model:
     # ------------------------------------------------------------------
     # training
 
+    def supervision(
+        self, inst: RelationInstance, labels: Optional[ExplanationLabels]
+    ) -> tuple[Optional[tuple[int, ...]], Optional[tuple[int, ...]]]:
+        """``(relation_bits, rationale_bits)`` one instance trains on, None for a
+        head that skips it; ``labels`` is its rule annotation or latent pick.
+
+        The gate, when present, trains on every instance.  A negative reaches
+        the relation head only in the gateless model, on an all-zero rationale,
+        and never the rationale head.  Without a rationale head a positive
+        trains the relation head on the full context; otherwise a positive
+        with labels trains both heads on them, and one without only the gate.
+        """
+        if inst.gold_relation == NO_RELATION:
+            gateless = self.ablate == ABLATE_GATE
+            return ((0,) * len(inst.tokens) if gateless else None), None
+        if self.ablate == ABLATE_RATIONALE:
+            return self.full_rationale_bits(inst), None
+        if labels is None:
+            return None, None
+        return labels.bits, labels.bits
+
     def loss_and_grads(
         self,
-        items: Sequence[tuple[RelationInstance, MaskedSequence, InstanceTargets]],
+        items: Sequence[tuple[RelationInstance, MaskedSequence, Optional[ExplanationLabels]]],
         train: bool = True,
         rng: Optional[np.random.Generator] = None,
     ):
-        """Batch loss components plus parameter gradients.
+        """Batch loss components plus parameter gradients; each item carries the
+        instance's rationale labels or None, and ``supervision`` decides which
+        heads they reach.
 
         The objective is the sum of the three per-batch mean components.
         Gate averages over every instance; rationale averages per token and
@@ -428,61 +444,53 @@ class Model:
         h, _, cache = encoder_forward(self.params, self.config, ids, pos, mask,
                                       train=train, rng=rng)
         dh = np.zeros_like(h)
+        targets = [self.supervision(inst, labels) for inst, _, labels in items]
 
         if self.ablate != ABLATE_GATE:
             zg = h[:, 0, :] @ self.params["gate_w"] + self.params["gate_b"][0]
-            tg = np.array([1.0 if t.has_relation else 0.0 for _, _, t in items])
+            tg = np.array([float(inst.gold_relation != NO_RELATION) for inst, _, _ in items])
             stats["gate"] = float(bce_with_logits(zg, tg).mean())
             dzg = (sigmoid(zg) - tg) / b
             dh[:, 0, :] += dzg[:, None] * self.params["gate_w"]
             _accum(grads, "gate_w", h[:, 0, :].T @ dzg)
             _accum(grads, "gate_b", np.array([dzg.sum()]))
 
-        if self.ablate != ABLATE_RATIONALE:
-            rows_i: list[int] = []
-            cols: list[int] = []
-            targets: list[float] = []
-            weights: list[float] = []
-            participating = 0
-            for i, (inst, seq, t) in enumerate(items):
-                if not (t.train_rationale and t.rationale_bits is not None):
-                    continue
-                entity = inst.entity_indices
-                eligible = [j for j in range(len(inst.tokens)) if j not in entity]
-                if not eligible:
-                    continue
-                participating += 1
-                for j in eligible:
-                    rows_i.append(i)
-                    cols.append(j + 1)
-                    targets.append(float(t.rationale_bits[j]))
-                    weights.append(1.0 / len(eligible))
-            if participating:
-                ri = np.asarray(rows_i)
-                ci = np.asarray(cols)
-                tv = np.asarray(targets)
-                wv = np.asarray(weights) / participating
-                zt = h[ri, ci, :] @ self.params["tag_w"] + self.params["tag_b"][0]
-                stats["rationale"] = float((bce_with_logits(zt, tv) * wv).sum())
-                dzt = (sigmoid(zt) - tv) * wv
-                np.add.at(dh, (ri, ci), dzt[:, None] * self.params["tag_w"])
-                _accum(grads, "tag_w", h[ri, ci, :].T @ dzt)
-                _accum(grads, "tag_b", np.array([dzt.sum()]))
-
-        rel_rows = []
-        rel_targets = []
-        for inst, seq, t in items:
-            if not (t.train_relation and t.relation_index is not None):
-                continue
-            bits = t.rationale_bits
+        rows_i: list[int] = []
+        cols: list[int] = []
+        tag_targets: list[float] = []
+        weights: list[float] = []
+        participating = 0
+        for i, ((inst, _, _), (_, bits)) in enumerate(zip(items, targets)):
             if bits is None:
-                bits = (0,) * len(inst.tokens)
-            rel_rows.append(_RestrictedRow(seq, inst, tuple(bits)))
-            rel_targets.append(t.relation_index)
+                continue
+            entity = inst.entity_indices
+            eligible = [j for j in range(len(inst.tokens)) if j not in entity]
+            if not eligible:
+                continue
+            participating += 1
+            for j in eligible:
+                rows_i.append(i)
+                cols.append(j + 1)
+                tag_targets.append(float(bits[j]))
+                weights.append(1.0 / len(eligible))
+        if participating:
+            ri = np.asarray(rows_i)
+            ci = np.asarray(cols)
+            tv = np.asarray(tag_targets)
+            wv = np.asarray(weights) / participating
+            zt = h[ri, ci, :] @ self.params["tag_w"] + self.params["tag_b"][0]
+            stats["rationale"] = float((bce_with_logits(zt, tv) * wv).sum())
+            dzt = (sigmoid(zt) - tv) * wv
+            np.add.at(dh, (ri, ci), dzt[:, None] * self.params["tag_w"])
+            _accum(grads, "tag_w", h[ri, ci, :].T @ dzt)
+            _accum(grads, "tag_b", np.array([dzt.sum()]))
+
+        rel_rows = [_RestrictedRow(seq, inst, tuple(bits))
+                    for (inst, seq, _), (bits, _) in zip(items, targets) if bits is not None]
         if rel_rows:
             logits, fwd = self._relation_forward(rel_rows, train=train, rng=rng)
             logp = log_softmax(logits, axis=-1)
-            idx = np.asarray(rel_targets)
+            idx = np.asarray([self.class_index(row.inst.gold_relation) for row in rel_rows])
             rows = np.arange(len(rel_rows))
             stats["relation"] = float(-logp[rows, idx].mean())
             dlogits = softmax(logits, axis=-1)
@@ -508,11 +516,14 @@ class Model:
         nrc_threshold: float = 0.5,
         batch_size: Optional[int] = None,
     ) -> list[Prediction]:
+        if batch_size is None:
+            batch_size = self.config.batch_size
+        elif batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {batch_size}")
         self.check_lengths(instances)
-        bs = batch_size or self.config.batch_size
         out: list[Prediction] = []
-        for lo in range(0, len(instances), bs):
-            chunk = instances[lo:lo + bs]
+        for lo in range(0, len(instances), batch_size):
+            chunk = instances[lo:lo + batch_size]
             out.extend(self._predict_chunk(chunk, nrc_threshold))
         return out
 

@@ -22,32 +22,26 @@ def linear_schedule(step: int, total_steps: int, warmup_steps: int) -> float:
     return max(0.0, (total_steps - step) / rest)
 
 
+_WARMUP_FRAC = 0.1
+_BETAS = (0.9, 0.999)
+_EPS = 1e-8
+
+
 class AdamW:
-    def __init__(
-        self,
-        specs,
-        lr: float,
-        weight_decay: float = 0.0,
-        total_steps: int = 0,
-        warmup_frac: float = 0.1,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ):
+    def __init__(self, specs, lr: float, weight_decay: float, total_steps: int):
         self.lr = lr
         self.weight_decay = weight_decay
-        self.betas = betas
-        self.eps = eps
         self.total_steps = total_steps
-        self.warmup_steps = int(round(total_steps * warmup_frac))
+        self.warmup_steps = int(round(total_steps * _WARMUP_FRAC))
         self.step_count = 0
         self.decay_flags = {name: decay for name, _shape, decay, _init in specs}
         self.m = {name: np.zeros(shape) for name, shape, _d, _i in specs}
         self.v = {name: np.zeros(shape) for name, shape, _d, _i in specs}
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> float:
+    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.step_count += 1
         t = self.step_count
-        b1, b2 = self.betas
+        b1, b2 = _BETAS
         lr_t = self.lr * linear_schedule(t, self.total_steps, self.warmup_steps)
         bias1 = 1.0 - b1 ** t
         bias2 = 1.0 - b2 ** t
@@ -59,8 +53,7 @@ class AdamW:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            update = (m / bias1) / (np.sqrt(v / bias2) + _EPS)
             if self.decay_flags.get(name, False) and self.weight_decay > 0.0:
                 update = update + self.weight_decay * p
             p -= lr_t * update
-        return lr_t

@@ -1,14 +1,13 @@
 """Semi-supervised training with latent rationale search.
 
-Training runs in two phases.  During burn-in the gate head sees every
-instance while the rationale and relation heads see only instances whose
-rationale came from a rule.  Afterwards, positive instances without a rule
-annotation get a pseudo rationale picked per batch: their current
-rationale scores are split at two thresholds into forced-one, forced-zero
-and ambiguous tokens, every resolution of the ambiguous tokens becomes a
-candidate, and the candidate giving the gold relation the highest
-probability wins.  Negative instances never reach the rationale or
-relation heads.
+Training runs in two phases.  During burn-in an instance's rationale
+labels are its rule annotation, if any.  Afterwards, positive instances
+without a rule annotation get a pseudo rationale picked per batch: their
+current rationale scores are split at two thresholds into forced-one,
+forced-zero and ambiguous tokens, every resolution of the ambiguous tokens
+becomes a candidate, and the candidate giving the gold relation the
+highest probability wins.  ``Model.supervision`` decides which heads the
+labels reach.
 """
 
 from __future__ import annotations
@@ -31,14 +30,7 @@ from .corpus import (
 )
 from .evalmetrics import rc_micro
 from .io import check_config, read_yaml_config, write_jsonl
-from .neural import (
-    ABLATE_GATE,
-    ABLATE_RATIONALE,
-    AdamW,
-    InstanceTargets,
-    Model,
-    ModelConfig,
-)
+from .neural import ABLATE_RATIONALE, AdamW, Model, ModelConfig
 
 
 class TrainingError(Exception):
@@ -224,12 +216,8 @@ def train(
                 pseudo = _pseudo_label_batch(
                     model, batch, seqs, rule_annotations, config, candidate_counts
                 )
-            items = []
-            for inst in batch:
-                seq = seqs[inst.id]
-                items.append((inst, seq, _targets_for(
-                    model, inst, rule_annotations, pseudo, ablate,
-                )))
+            items = [(inst, seqs[inst.id], rule_annotations.get(inst.id, pseudo.get(inst.id)))
+                     for inst in batch]
             stats, grads = model.loss_and_grads(items, train=True, rng=rng)
             if not np.isfinite(stats["total"]):
                 ids = ", ".join(inst.id for inst in batch[:5])
@@ -285,40 +273,6 @@ def _pseudo_label_batch(
             candidates, inst, inst.gold_relation, model, seq=seq
         )
     return out
-
-
-def _targets_for(
-    model: Model,
-    inst: RelationInstance,
-    rule_annotations: dict[str, ExplanationLabels],
-    pseudo: dict[str, ExplanationLabels],
-    ablate: Optional[str],
-) -> InstanceTargets:
-    """Supervision for one instance: the cases differ only in the
-    rationale bits and whether the rationale head trains on them."""
-    positive = inst.gold_relation != NO_RELATION
-    if not positive and ablate != ABLATE_GATE:
-        return InstanceTargets(has_relation=False)
-    if ablate == ABLATE_RATIONALE:
-        # no rationale head: the relation head trains on the full context
-        # for every positive from the first epoch
-        bits, train_rationale = model.full_rationale_bits(inst), False
-    elif not positive:
-        # gateless models learn negatives through the extra class
-        bits, train_rationale = (0,) * len(inst.tokens), False
-    else:
-        chosen = rule_annotations.get(inst.id, pseudo.get(inst.id))
-        if chosen is None:
-            # burn-in: unannotated positives only reach the gate
-            return InstanceTargets(has_relation=True)
-        bits, train_rationale = chosen.bits, True
-    return InstanceTargets(
-        has_relation=positive,
-        relation_index=model.class_index(inst.gold_relation),
-        rationale_bits=bits,
-        train_rationale=train_rationale,
-        train_relation=True,
-    )
 
 
 def _dev_f1(model: Model, corpus: Corpus, config: TrainConfig) -> Optional[float]:

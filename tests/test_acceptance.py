@@ -30,7 +30,7 @@ from rexl.attribution import (
 from rexl.cli import main as cli_main
 from rexl.corpus import NO_RELATION
 from rexl.evalmetrics import ec_overlap, rc_micro
-from rexl.neural import InstanceTargets, Model, ModelConfig
+from rexl.neural import Model, ModelConfig
 from rexl.neural.losses import binary_cross_entropy, categorical_cross_entropy
 from rexl.rulegen import generate_rule, generate_ruleset, merge_rulesets
 from rexl.rules import GEN_TEST, GEN_TRAIN, RuleSet, annotate_explanations, \
@@ -95,19 +95,9 @@ def test_gradients_match_finite_differences(corpus, annotations):
     cfg = ModelConfig(d_model=16, n_layers=2, n_heads=2, seed=3)
     model = Model.create(cfg, corpus.token_vocab, corpus.relation_vocab)
 
-    items = []
     batch = [i for i in corpus.train if i.id in annotations][:4]
     batch += [i for i in corpus.train if i.gold_relation == NO_RELATION][:4]
-    for inst in batch:
-        ann = annotations.get(inst.id)
-        positive = inst.gold_relation != NO_RELATION
-        items.append((inst, model.masked(inst), InstanceTargets(
-            has_relation=positive,
-            relation_index=model.class_index(inst.gold_relation) if positive else None,
-            rationale_bits=ann.bits if ann else None,
-            train_rationale=positive and ann is not None,
-            train_relation=positive and ann is not None,
-        )))
+    items = [(inst, model.masked(inst), annotations.get(inst.id)) for inst in batch]
     _, grads = model.loss_and_grads(items, train=False)
 
     rng = np.random.default_rng(0)

@@ -257,6 +257,22 @@ class TestFailures:
         assert result.exit_code == 1
         assert "burn_in" in result.output
 
+    def test_zero_batch_size_exits_one_without_a_checkpoint(self, workspace, tmp_path):
+        root, runner = workspace
+        cfg = tmp_path / "train.yaml"
+        cfg.write_text(yaml.safe_dump({"model": {"batch_size": 0}}))
+        out = tmp_path / "m.ckpt"
+        result = runner.invoke(
+            main, ["train", "--data", str(root / "data"), "--out", str(out),
+                   "--config", str(cfg)],
+        )
+        assert result.exit_code == 1, result.output
+        assert "Traceback" not in result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"Error: {cfg}: ")
+        assert "batch_size" in lines[0]
+        assert not out.exists()
+
     def test_corrupt_checkpoint_exits_one(self, workspace, tmp_path):
         root, runner = workspace
         bad = tmp_path / "bad.ckpt"

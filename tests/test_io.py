@@ -166,8 +166,18 @@ class TestConfigValueKinds:
         ("model: 5\n", "model"),
         ("model:\n  learning_rate: 3e-4\n", "learning_rate"),
         ("model:\n  d_model: 32.0\n", "d_model"),
+        ("model:\n  batch_size: 0\n", "batch_size"),
+        ("model:\n  batch_size: -4\n", "batch_size"),
+        ("model:\n  ff_mult: 0\n", "ff_mult"),
+        ("model:\n  ff_mult: -1\n", "ff_mult"),
+        ("model:\n  learning_rate: -0.001\n", "learning_rate"),
+        ("model:\n  learning_rate: 0\n", "learning_rate"),
+        ("model:\n  weight_decay: -0.01\n", "weight_decay"),
+        ("model:\n  seed: -1\n", "seed"),
     ], ids=["float epochs", "string epochs", "bool epochs", "bool threshold",
-            "model not a mapping", "yaml 1.1 exponent", "float width"])
+            "model not a mapping", "yaml 1.1 exponent", "float width", "zero batch",
+            "negative batch", "zero ff_mult", "negative ff_mult", "negative learning rate",
+            "zero learning rate", "negative weight decay", "negative seed"])
     def test_train_config_names_file_and_key(self, tmp_path, text, key):
         path = tmp_path / "t.yaml"
         path.write_text(text)

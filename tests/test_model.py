@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from rexl.corpus import NO_RELATION
+from conftest import make_instance
+from rexl.corpus import NO_RELATION, SOURCE_LATENT, SOURCE_RULE, Corpus, ExplanationLabels
 from rexl.neural.config import ModelConfig
 from rexl.neural.losses import binary_cross_entropy, categorical_cross_entropy
 from rexl.neural.model import (
     ABLATE_GATE,
     ABLATE_RATIONALE,
     CheckpointError,
-    InstanceTargets,
     Model,
     SequenceTooLongError,
 )
@@ -31,20 +31,8 @@ def model(tiny_corpus):
     return Model.create(cfg, corpus.token_vocab, corpus.relation_vocab)
 
 
-def _targets(model, corpus, ann, instances):
-    items = []
-    for inst in instances:
-        pos = inst.gold_relation != NO_RELATION
-        a = ann.get(inst.id)
-        t = InstanceTargets(
-            has_relation=pos,
-            relation_index=model.class_index(inst.gold_relation) if pos else None,
-            rationale_bits=a.bits if a else None,
-            train_rationale=pos and a is not None,
-            train_relation=pos and a is not None,
-        )
-        items.append((inst, model.masked(inst), t))
-    return items
+def _items(model, ann, instances):
+    return [(inst, model.masked(inst), ann.get(inst.id)) for inst in instances]
 
 
 class TestLosses:
@@ -70,8 +58,8 @@ class TestLosses:
     def test_total_loss_is_exact_sum_of_parts(self, tiny_corpus, model):
         corpus, spec = tiny_corpus
         ann = annotate_explanations(synth.seed_rules(spec), corpus.train)
-        items = _targets(model, corpus, ann, corpus.train[:8])
-        assert any(t.train_rationale for _, _, t in items)
+        items = _items(model, ann, corpus.train[:8])
+        assert any(model.supervision(inst, labels)[1] for inst, _, labels in items)
         stats, _ = model.loss_and_grads(items, train=False)
         assert all(stats[k] > 0.0 for k in ("gate", "rationale", "relation"))
         assert stats["total"] == stats["gate"] + stats["rationale"] + stats["relation"]
@@ -81,17 +69,49 @@ class TestLosses:
         ann = annotate_explanations(synth.seed_rules(spec), corpus.train)
         negatives = [i for i in corpus.train if i.gold_relation == NO_RELATION][:4]
         assert negatives
-        stats, _ = model.loss_and_grads(_targets(model, corpus, ann, negatives), train=False)
+        stats, _ = model.loss_and_grads(_items(model, ann, negatives), train=False)
         assert stats["rationale"] == 0.0
         assert stats["relation"] == 0.0
         assert stats["total"] == stats["gate"] > 0.0
 
+    @pytest.mark.parametrize("ablate", [None, ABLATE_GATE, ABLATE_RATIONALE])
+    def test_each_head_trains_on_what_the_table_gives_it(self, tiny_corpus, ablate):
+        corpus, spec = tiny_corpus
+        cfg = ModelConfig(d_model=16, n_layers=1, n_heads=2, max_seq_len=32, seed=3)
+        m = Model.create(cfg, corpus.token_vocab, corpus.relation_vocab, ablate=ablate)
+        ann = annotate_explanations(synth.seed_rules(spec), corpus.train)
+        positives = [i for i in corpus.train if i.gold_relation != NO_RELATION]
+        groups = {
+            "negative": [i for i in corpus.train if i.gold_relation == NO_RELATION][:4],
+            "annotated": [i for i in positives if i.id in ann][:4],
+            "unannotated": [i for i in positives if i.id not in ann][:4],
+        }
+        trains = {  # (rationale head, relation head) per group
+            None: {"negative": (0, 0), "annotated": (1, 1), "unannotated": (0, 0)},
+            ABLATE_GATE: {"negative": (0, 1), "annotated": (1, 1), "unannotated": (0, 0)},
+            ABLATE_RATIONALE: {"negative": (0, 0), "annotated": (0, 1), "unannotated": (0, 1)},
+        }[ablate]
+        for group, batch in groups.items():
+            assert batch, group
+            stats, _ = m.loss_and_grads(_items(m, ann, batch), train=False)
+            got = (stats["rationale"] > 0.0, stats["relation"] > 0.0)
+            assert got == trains[group], group
+            assert (stats["gate"] > 0.0) == (ablate != ABLATE_GATE), group
+
 
 class TestGradients:
-    def test_directional_derivative_per_parameter_group(self, tiny_corpus, model):
+    @pytest.mark.parametrize("ablate", [None, ABLATE_GATE, ABLATE_RATIONALE])
+    def test_directional_derivative_per_parameter_group(self, tiny_corpus, ablate):
         corpus, spec = tiny_corpus
+        cfg = ModelConfig(d_model=16, n_layers=2, n_heads=2, max_seq_len=32, seed=3)
+        model = Model.create(cfg, corpus.token_vocab, corpus.relation_vocab, ablate=ablate)
         ann = annotate_explanations(synth.seed_rules(spec), corpus.train)
-        items = _targets(model, corpus, ann, corpus.train[:8])
+        positives = [i for i in corpus.train if i.gold_relation != NO_RELATION]
+        batch = [i for i in positives if i.id in ann][:3]
+        batch += [i for i in corpus.train if i.gold_relation == NO_RELATION][:3]
+        batch += [i for i in positives if i.id not in ann][:2]
+        assert len(batch) == 8
+        items = _items(model, ann, batch)
         _, grads = model.loss_and_grads(items, train=False)
 
         rng = np.random.default_rng(0)
@@ -118,11 +138,58 @@ class TestGradients:
     def test_gradients_cover_every_parameter(self, tiny_corpus, model):
         corpus, spec = tiny_corpus
         ann = annotate_explanations(synth.seed_rules(spec), corpus.train)
-        items = _targets(model, corpus, ann, corpus.train[:4])
+        items = _items(model, ann, corpus.train[:4])
         _, grads = model.loss_and_grads(items, train=False)
         assert set(grads) == {name for name, *_ in model.specs}
         for name, shape, _d, _i in model.specs:
             assert grads[name].shape == shape
+
+
+def _table_instance(iid, relation):
+    return make_instance(
+        forms=["John", "'s", "daughter", ",", "Emma", ",", "likes", "swimming", "."],
+        heads=[2, 0, 6, 4, 2, 4, None, 6, 6],
+        deprels=["nmod:poss", "case", "nsubj", "punct", "appos", "punct",
+                 "root", "xcomp", "punct"],
+        subj_span=(0, 0), obj_span=(4, 4), relation=relation, instance_id=iid,
+    )
+
+
+_RULE_BITS = (0, 0, 1, 0, 0, 0, 0, 0, 0)
+_PSEUDO_BITS = (0, 1, 0, 0, 0, 0, 1, 0, 0)
+_NEG_BITS = (0, 0, 0, 1, 0, 1, 0, 0, 0)
+_FULL_BITS = (0, 1, 1, 1, 0, 1, 1, 1, 1)  # every non-entity token
+_ZERO_BITS = (0,) * 9
+_SKIP = (None, None)
+
+# (relation_bits, rationale_bits) per column: a negative, a rule-annotated
+# positive, a pseudo-labelled positive, an unannotated positive (burn-in or
+# no rule match) and a negative that carries labels
+_SUPERVISION_TABLE = {
+    None: (_SKIP, (_RULE_BITS, _RULE_BITS), (_PSEUDO_BITS, _PSEUDO_BITS), _SKIP, _SKIP),
+    ABLATE_GATE: ((_ZERO_BITS, None), (_RULE_BITS, _RULE_BITS),
+                  (_PSEUDO_BITS, _PSEUDO_BITS), _SKIP, (_ZERO_BITS, None)),
+    ABLATE_RATIONALE: (_SKIP, (_FULL_BITS, None), (_FULL_BITS, None), (_FULL_BITS, None),
+                       _SKIP),
+}
+
+
+@pytest.mark.parametrize("ablate", list(_SUPERVISION_TABLE))
+def test_training_targets_follow_the_table(ablate):
+    columns = [
+        (_table_instance("neg", NO_RELATION), None),
+        (_table_instance("rule", "per:spouse"), ExplanationLabels(_RULE_BITS, SOURCE_RULE)),
+        (_table_instance("pseudo", "per:spouse"),
+         ExplanationLabels(_PSEUDO_BITS, SOURCE_LATENT)),
+        (_table_instance("cold", "per:spouse"), None),
+        (_table_instance("neg-rule", NO_RELATION), ExplanationLabels(_NEG_BITS, SOURCE_RULE)),
+    ]
+    corpus = Corpus.build([inst for inst, _ in columns])
+    cfg = ModelConfig(d_model=8, n_layers=1, n_heads=2, max_seq_len=16, seed=1)
+    model = Model.create(cfg, corpus.token_vocab, ("per:children", "per:spouse"),
+                         ablate=ablate)
+    got = tuple(model.supervision(inst, labels) for inst, labels in columns)
+    assert got == _SUPERVISION_TABLE[ablate]
 
 
 class TestHeads:
@@ -259,6 +326,12 @@ class TestPredict:
         a = model.predict_batch(insts)
         b = model.predict_batch(insts, batch_size=3)
         assert a == b
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, tiny_corpus, model, batch_size):
+        corpus, _ = tiny_corpus
+        with pytest.raises(ValueError, match="batch_size must be at least 1"):
+            model.predict_batch(list(corpus.test), batch_size=batch_size)
 
     def test_negative_prediction_has_empty_rationale(self, tiny_corpus, model):
         corpus, _ = tiny_corpus

@@ -3,14 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_instance
 from rexl import synth
-from rexl.corpus import NO_RELATION, SOURCE_LATENT, SOURCE_RULE, Corpus, ExplanationLabels
+from rexl.corpus import NO_RELATION, SOURCE_LATENT
 from rexl.io import read_jsonl
 from rexl.neural import (
     ABLATE_GATE,
     ABLATE_RATIONALE,
-    InstanceTargets,
     Model,
     ModelConfig,
     SequenceTooLongError,
@@ -22,7 +20,6 @@ from rexl.trainer import (
     TrainLog,
     TrainingError,
     _pseudo_label_batch,
-    _targets_for,
     generate_candidates,
     select_candidate,
     train,
@@ -217,56 +214,35 @@ class TestBatchedSearch:
             assert cap in all_counts
 
 
-def _table_instance(iid, relation):
-    return make_instance(
-        forms=["John", "'s", "daughter", ",", "Emma", ",", "likes", "swimming", "."],
-        heads=[2, 0, 6, 4, 2, 4, None, 6, 6],
-        deprels=["nmod:poss", "case", "nsubj", "punct", "appos", "punct",
-                 "root", "xcomp", "punct"],
-        subj_span=(0, 0), obj_span=(4, 4), relation=relation, instance_id=iid,
-    )
+@pytest.mark.parametrize("ablate", [None, ABLATE_RATIONALE])
+def test_each_instance_carries_its_rule_labels_then_a_latent_pick(
+        small_corpus, monkeypatch, ablate):
+    corpus, ann = small_corpus
+    seen = []  # per training step, {instance id: labels passed to the model}
+    real = Model.loss_and_grads
 
+    def spy(self, items, **kw):
+        seen.append({inst.id: labels for inst, _, labels in items})
+        return real(self, items, **kw)
 
-_RULE_BITS = (0, 0, 1, 0, 0, 0, 0, 0, 0)
-_PSEUDO_BITS = (0, 1, 0, 0, 0, 0, 1, 0, 0)
-_FULL_BITS = (0, 1, 1, 1, 0, 1, 1, 1, 1)  # every non-entity token
-_GATE_ONLY_NEG = InstanceTargets(has_relation=False)
-_GATE_ONLY_POS = InstanceTargets(has_relation=True)
-
-
-def _both_heads(index, bits, train_rationale, has_relation=True):
-    return InstanceTargets(has_relation=has_relation, relation_index=index,
-                           rationale_bits=bits, train_rationale=train_rationale,
-                           train_relation=True)
-
-
-# columns: a negative, a rule-annotated positive, a pseudo-labelled positive
-# and an unannotated positive during burn-in; relation index 1 is per:spouse
-# and 2 the extra no_relation class of the gateless model
-_TARGET_TABLE = {
-    None: (_GATE_ONLY_NEG, _both_heads(1, _RULE_BITS, True),
-           _both_heads(1, _PSEUDO_BITS, True), _GATE_ONLY_POS),
-    ABLATE_GATE: (_both_heads(2, (0,) * 9, False, has_relation=False),
-                  _both_heads(1, _RULE_BITS, True),
-                  _both_heads(1, _PSEUDO_BITS, True), _GATE_ONLY_POS),
-    ABLATE_RATIONALE: (_GATE_ONLY_NEG, _both_heads(1, _FULL_BITS, False),
-                       _both_heads(1, _FULL_BITS, False),
-                       _both_heads(1, _FULL_BITS, False)),
-}
-
-
-@pytest.mark.parametrize("ablate", list(_TARGET_TABLE))
-def test_training_targets_follow_the_table(ablate):
-    columns = [_table_instance("neg", NO_RELATION), _table_instance("rule", "per:spouse"),
-               _table_instance("pseudo", "per:spouse"), _table_instance("cold", "per:spouse")]
-    corpus = Corpus.build(columns)
-    cfg = ModelConfig(d_model=8, n_layers=1, n_heads=2, max_seq_len=16, seed=1)
-    model = Model.create(cfg, corpus.token_vocab, ("per:children", "per:spouse"),
-                         ablate=ablate)
-    rule = {"rule": ExplanationLabels(_RULE_BITS, SOURCE_RULE)}
-    pseudo = {"pseudo": ExplanationLabels(_PSEUDO_BITS, SOURCE_LATENT)}
-    got = tuple(_targets_for(model, inst, rule, pseudo, ablate) for inst in columns)
-    assert got == _TARGET_TABLE[ablate]
+    monkeypatch.setattr(Model, "loss_and_grads", spy)
+    config = _config()
+    train(corpus, ann, config, ablate=ablate)
+    steps = -(-len(corpus.train) // config.model.batch_size)
+    assert len(seen) == steps * config.total_epochs
+    for epoch in range(config.total_epochs):
+        labels = {k: v for step in seen[epoch * steps:(epoch + 1) * steps]
+                  for k, v in step.items()}
+        assert sorted(labels) == sorted(inst.id for inst in corpus.train)
+        searched = epoch >= config.burn_in_epochs and ablate != ABLATE_RATIONALE
+        for inst in corpus.train:
+            got = labels[inst.id]
+            if inst.id in ann:
+                assert got == ann[inst.id], inst.id
+            elif inst.gold_relation != NO_RELATION and searched:
+                assert got.source == SOURCE_LATENT, inst.id
+            else:
+                assert got is None, inst.id
 
 
 class TestAblations:
