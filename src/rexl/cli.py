@@ -118,7 +118,7 @@ def main() -> None:
               help="Output directory for the split files.")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               help="YAML generator spec; defaults apply when omitted.")
-@click.option("--seed", default=13, show_default=True, type=int)
+@click.option("--seed", default=13, show_default=True, type=click.IntRange(min=0))
 @click.option("--rules-out", type=click.Path(dir_okay=False),
               help="Where to write the seed rules (default: OUT/manual_rules.txt).")
 @_wrap_errors

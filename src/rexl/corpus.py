@@ -405,87 +405,50 @@ def mask_entities(inst: RelationInstance, vocab: TokenVocab) -> MaskedSequence:
     )
 
 
-def _adjacency(inst: RelationInstance) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in inst.tokens]
-    for i, tok in enumerate(inst.tokens):
-        if tok.head is not None:
-            adj[i].append(tok.head)
-            adj[tok.head].append(i)
-    return adj
+def _root_chain(inst: RelationInstance, index: int) -> list[int]:
+    """The token and its heads up to the root: [index, head, ..., root]."""
+    chain = [index]
+    head = inst.tokens[index].head
+    while head is not None:
+        if len(chain) == len(inst.tokens):
+            raise CorpusError(f"{inst.id}: dependency cycle through token {index}")
+        chain.append(head)
+        head = inst.tokens[head].head
+    return chain
 
 
-def shortest_dep_path(
-    inst: RelationInstance,
-    from_indices: Iterable[int],
-    to_indices: Iterable[int],
-) -> tuple[DepPath, tuple[int, int]]:
-    """Shortest undirected path over the dependency tree between two index sets.
+def shortest_dep_path(inst: RelationInstance, start: int, targets: Iterable[int]) -> DepPath:
+    """The dependency path from ``start`` to the nearest of ``targets``.
 
-    Returns the path and the (from, to) endpoint pair realising it.  Ties on
-    length are broken by the smallest (from, to) pair.  A step is UP when it
-    moves from a token to its head (carrying that token's deprel) and DOWN
-    when it moves from a head to one of its dependents (carrying the
-    dependent's deprel).
+    The path climbs from ``start`` to the lowest common ancestor in UP
+    steps, each carrying the deprel of the token it leaves, then descends
+    to the target in DOWN steps, each carrying the deprel of the token it
+    enters.  Of equally near targets the lowest index wins.
     """
     n = len(inst.tokens)
-    src = sorted(set(from_indices))
-    dst = sorted(set(to_indices))
-    if not src or not dst:
+    dst = sorted(set(targets))
+    if not dst:
         raise CorpusError(f"{inst.id}: empty endpoint set for dependency path")
-    for i in src + dst:
+    for i in [start, *dst]:
         if not (0 <= i < n):
             raise CorpusError(f"{inst.id}: path endpoint {i} out of range")
-    adj = _adjacency(inst)
-    best: Optional[tuple[int, int, int]] = None  # (dist, from, to)
-    best_parents: Optional[list[Optional[int]]] = None
-    dst_set = set(dst)
-    for f in src:
-        dist = [-1] * n
-        parent: list[Optional[int]] = [None] * n
-        dist[f] = 0
-        queue = [f]
-        # BFS over the undirected tree; on a tree the first visit is the
-        # unique shortest route, neighbours expanded in index order
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v in sorted(adj[u]):
-                if dist[v] == -1:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    queue.append(v)
-        for t in dst:
-            cand = (dist[t], f, t)
-            if best is None or cand < best:
-                best = cand
-                best_parents = parent
-    assert best is not None and best_parents is not None
-    _, f, t = best
-    nodes = [t]
-    while nodes[-1] != f:
-        prev = best_parents[nodes[-1]]
-        assert prev is not None
-        nodes.append(prev)
-    nodes.reverse()
-    steps = []
-    for a, b in zip(nodes, nodes[1:]):
-        if inst.tokens[a].head == b:
-            steps.append(PathStep(UP, inst.tokens[a].deprel))
-        elif inst.tokens[b].head == a:
-            steps.append(PathStep(DOWN, inst.tokens[b].deprel))
-        else:  # pragma: no cover - adjacency guarantees one of the two
-            raise CorpusError(f"{inst.id}: nodes {a} and {b} are not tree-adjacent")
-    return DepPath(tuple(steps)), (f, t)
+    up = _root_chain(inst, start)
+    climb_to = {j: k for k, j in enumerate(up)}  # ancestor -> UP steps to reach it
+    routes = []  # (length, climb, descent) per target, in index order
+    for t in dst:
+        down = _root_chain(inst, t)
+        # t's chain meets start's at their lowest common ancestor
+        meet = next((k for k, j in enumerate(down) if j in climb_to), None)
+        if meet is None:
+            raise CorpusError(f"{inst.id}: no dependency path from token {start} to token {t}")
+        climb = climb_to[down[meet]]
+        routes.append((climb + meet, climb, down[:meet]))
+    _, climb, descent = min(routes, key=lambda route: route[0])  # first of the shortest
+    steps = [PathStep(UP, inst.tokens[j].deprel) for j in up[:climb]]
+    steps += [PathStep(DOWN, inst.tokens[j].deprel) for j in reversed(descent)]
+    return DepPath(tuple(steps))
 
 
 def token_depth(inst: RelationInstance, index: int) -> int:
-    """Number of head steps from a token up to the root."""
-    depth = 0
-    j: Optional[int] = index
-    while inst.tokens[j].head is not None:  # type: ignore[index]
-        j = inst.tokens[j].head  # type: ignore[index]
-        depth += 1
-        if depth > len(inst.tokens):
-            raise CorpusError(f"{inst.id}: dependency cycle through token {index}")
-    return depth
+    """Number of head steps from a token up to the root; a cycle is a CorpusError."""
+    return len(_root_chain(inst, index)) - 1

@@ -84,8 +84,8 @@ def generate_rule(
     lo, hi = run
     trigger_words = tuple(inst.tokens[i].form for i in range(lo, hi + 1))
     anchor = trigger_anchor(inst, range(lo, hi + 1))
-    subj_path, _ = shortest_dep_path(inst, {anchor}, inst.subj_indices)
-    obj_path, _ = shortest_dep_path(inst, {anchor}, inst.obj_indices)
+    subj_path = shortest_dep_path(inst, anchor, inst.subj_indices)
+    obj_path = shortest_dep_path(inst, anchor, inst.obj_indices)
     return SyntacticRule(
         id="",
         label=label,

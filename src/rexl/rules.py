@@ -492,10 +492,10 @@ def _match_syntactic(rule: SyntacticRule, inst: RelationInstance) -> Optional[Ru
     for start, length in _trigger_occurrences(rule, inst):
         span = range(start, start + length)
         anchor = trigger_anchor(inst, span)
-        subj_actual, _ = shortest_dep_path(inst, {anchor}, inst.subj_indices)
+        subj_actual = shortest_dep_path(inst, anchor, inst.subj_indices)
         if not _path_matches(rule.subj_path, subj_actual):
             continue
-        obj_actual, _ = shortest_dep_path(inst, {anchor}, inst.obj_indices)
+        obj_actual = shortest_dep_path(inst, anchor, inst.obj_indices)
         if not _path_matches(rule.obj_path, obj_actual):
             continue
         return RuleMatch(rule.id, inst.id, rule.label, frozenset(span))
@@ -533,12 +533,6 @@ def first_match(rules: RuleSet, inst: RelationInstance) -> Optional[RuleMatch]:
 def match_all(rules: RuleSet, inst: RelationInstance) -> list[RuleMatch]:
     """All matching rules for an instance, in rule-set order."""
     return list(_matches(rules, inst))
-
-
-def predict_with_rules(rules: RuleSet, inst: RelationInstance) -> str:
-    """Label from the first matching rule, NO_RELATION when none match."""
-    m = first_match(rules, inst)
-    return NO_RELATION if m is None else m.label
 
 
 def annotate_explanations(rules: RuleSet, instances: Iterable[RelationInstance],

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -466,7 +465,7 @@ def _instantiate(template: Template, rng: np.random.Generator) -> RelationInstan
     while obj_tokens == subj_tokens:
         obj_tokens = _draw_entity(template.obj_type, rng)
 
-    expanded: list[tuple[str, str, str, int | None, str]] = []  # form,pos,ner,head_elem,deprel
+    expanded: list[tuple[str, str, str, int, str]] = []  # form,pos,ner,head_elem,deprel
     starts: list[int] = []
     subj_span = obj_span = (0, 0)
     for e in template.elements:
@@ -480,46 +479,27 @@ def _instantiate(template: Template, rng: np.random.Generator) -> RelationInstan
             lo = len(expanded)
             expanded.append((parts[0], "NNP", etype, e.head, e.deprel))
             for part in parts[1:]:
-                # extra entity tokens attach flat to the span head
-                expanded.append((part, "NNP", etype, None, "flat"))
+                # extra entity tokens attach flat to the span head, this element's start
+                expanded.append((part, "NNP", etype, len(starts) - 1, "flat"))
             span = (lo, len(expanded) - 1)
             if e.kind == "subj":
                 subj_span = span
             else:
                 obj_span = span
 
-    tokens = []
-    for i, (form, pos, ner, head_elem, deprel) in enumerate(expanded):
-        if head_elem is None:  # flat continuation token
-            head: Optional[int] = starts[_element_of(starts, i)]
-            if head == i:  # pragma: no cover - continuation is never first
-                raise GeneratorError("flat token cannot head itself")
-        elif head_elem == -1:
-            head = None
-        else:
-            head = starts[head_elem]
-        tokens.append(Token(
-            form=form, lemma=_lemma(form), pos=pos, ner=ner, head=head, deprel=deprel,
-        ))
+    tokens = tuple(
+        Token(form=form, lemma=_lemma(form), pos=pos, ner=ner,
+              head=None if head_elem == -1 else starts[head_elem], deprel=deprel)
+        for form, pos, ner, head_elem, deprel in expanded)
     return RelationInstance(
         id="pending",
-        tokens=tuple(tokens),
+        tokens=tokens,
         subj_span=subj_span,
         obj_span=obj_span,
         subj_type=template.subj_type,
         obj_type=template.obj_type,
         gold_relation=template.relation,
     )
-
-
-def _element_of(starts: Sequence[int], token_index: int) -> int:
-    out = 0
-    for ei, s in enumerate(starts):
-        if s <= token_index:
-            out = ei
-        else:
-            break
-    return out
 
 
 def _round_half_up(x: float) -> int:

@@ -34,7 +34,7 @@ from rexl.neural import Model, ModelConfig
 from rexl.neural.losses import binary_cross_entropy, categorical_cross_entropy
 from rexl.rulegen import generate_rule, generate_ruleset, merge_rulesets
 from rexl.rules import GEN_TEST, GEN_TRAIN, RuleSet, annotate_explanations, \
-    first_match, match_rule, predict_with_rules
+    first_match, match_rule
 from rexl.trainer import TrainConfig, generate_candidates, select_candidate, \
     train
 
@@ -278,7 +278,7 @@ def test_generated_rules_rematch_their_source_instances(corpus, manual_rules,
             continue
         rule = replace(rule, id="induced")
         assert match_rule(rule, inst) is not None, inst.id
-        assert predict_with_rules(RuleSet([rule]), inst) == inst.gold_relation
+        assert first_match(RuleSet([rule]), inst).label == inst.gold_relation
         checked += 1
 
     for inst, pred in zip(corpus.test, model.predict_batch(list(corpus.test))):
@@ -291,7 +291,7 @@ def test_generated_rules_rematch_their_source_instances(corpus, manual_rules,
             continue
         rule = replace(rule, id="induced")
         assert match_rule(rule, inst) is not None, inst.id
-        assert predict_with_rules(RuleSet([rule]), inst) == pred.label
+        assert first_match(RuleSet([rule]), inst).label == pred.label
         checked += 1
 
     assert checked > 0
@@ -308,7 +308,8 @@ def test_merged_rules_double_recall_and_approach_neural_f1(corpus,
     gold = {i.id: i.gold_relation for i in corpus.test}
 
     def rule_report(rules):
-        predicted = {i.id: predict_with_rules(rules, i) for i in corpus.test}
+        matches = {i.id: first_match(rules, i) for i in corpus.test}
+        predicted = {k: NO_RELATION if m is None else m.label for k, m in matches.items()}
         return rc_micro(predicted, gold)
 
     manual_recall = rule_report(manual_rules).recall

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 from rexl.cli import main
 from rexl.corpus import NO_RELATION, load_corpus
 from rexl.rulegen import merge_rulesets
-from rexl.rules import first_match, load_rules, predict_with_rules
+from rexl.rules import first_match, load_rules
 
 
 GEN_CONFIG = {
@@ -189,7 +189,7 @@ class TestMergeOrder:
 
 
 class TestRunRules:
-    def test_output_agrees_with_predict_with_rules(self, workspace, tmp_path):
+    def test_output_agrees_with_first_match(self, workspace, tmp_path):
         root, runner = workspace
         extra = tmp_path / "extra.txt"
         extra.write_text(
@@ -215,8 +215,8 @@ class TestRunRules:
         matched = 0
         for inst in test:
             row = rows[inst.id]
-            assert row["label"] == predict_with_rules(rules, inst), inst.id
             m = first_match(rules, inst)
+            assert row["label"] == (NO_RELATION if m is None else m.label), inst.id
             assert row["rationale"] == ([] if m is None else sorted(m.trigger_tokens))
             matched += m is not None
         assert matched > 0
@@ -227,6 +227,15 @@ class TestFailures:
         runner = CliRunner()
         result = runner.invoke(main, ["gen-data", "--wat"])
         assert result.exit_code == 2
+
+    def test_negative_seed_is_a_usage_error(self, tmp_path):
+        out = tmp_path / "d"
+        result = CliRunner().invoke(main, ["gen-data", "--out", str(out), "--seed", "-1"])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and "--seed" in errors[0], result.output
+        assert not out.exists()
 
     def test_missing_data_dir_fails_cleanly(self, tmp_path):
         runner = CliRunner()

@@ -171,18 +171,15 @@ def test_validate_matches_the_root_walk_oracle(args):
 
 class TestPaths:
     def test_trigger_to_subject(self, family_instance):
-        path, ends = shortest_dep_path(family_instance, {2}, {0})
-        assert ends == (2, 0)
+        path = shortest_dep_path(family_instance, 2, {0})
         assert [(s.direction, s.deprel) for s in path.steps] == [(DOWN, "nmod:poss")]
 
     def test_trigger_to_object(self, family_instance):
-        path, ends = shortest_dep_path(family_instance, {2}, {4})
-        assert ends == (2, 4)
+        path = shortest_dep_path(family_instance, 2, {4})
         assert [(s.direction, s.deprel) for s in path.steps] == [(DOWN, "appos")]
 
     def test_subject_to_object_goes_through_trigger(self, family_instance):
-        path, ends = shortest_dep_path(family_instance, {0}, {4})
-        assert ends == (0, 4)
+        path = shortest_dep_path(family_instance, 0, {4})
         assert [(s.direction, s.deprel) for s in path.steps] == [
             (UP, "nmod:poss"), (DOWN, "appos"),
         ]
@@ -194,9 +191,28 @@ class TestPaths:
         assert token_depth(family_instance, 4) == 2
 
     def test_same_token_yields_empty_path(self, family_instance):
-        path, ends = shortest_dep_path(family_instance, {2}, {2})
+        path = shortest_dep_path(family_instance, 2, {2})
         assert path.steps == ()
-        assert ends == (2, 2)
+
+    @pytest.mark.parametrize("heads, targets, message", [
+        ([None, 0, 0], set(), "empty endpoint set for dependency path"),
+        ([None, 0, 0], {3}, "path endpoint 3 out of range"),
+        ([None, None, 1], {2}, "no dependency path from token 0 to token 2"),
+        ([None, 2, 1, 2], {3}, "dependency cycle through token 3"),
+    ], ids=["no target", "target out of range", "two roots", "cycle"])
+    def test_bad_path_input_names_the_instance(self, heads, targets, message):
+        # built without validate(), as a caller holding an unchecked instance would
+        inst = RelationInstance(
+            id="broken", tokens=tuple(Token(f"w{i}", f"w{i}", "NN", "O", h, "dep")
+                                      for i, h in enumerate(heads)),
+            subj_span=(0, 0), obj_span=(1, 1), subj_type="PERSON",
+            obj_type="PERSON", gold_relation=NO_RELATION,
+        )
+        with pytest.raises(CorpusError, match=f"^broken: {message}$"):
+            shortest_dep_path(inst, 0, targets)
+        if "cycle" in message:
+            with pytest.raises(CorpusError, match=f"^broken: {message}$"):
+                token_depth(inst, 3)
 
 
 def _random_tree(heads_seed: list[int]) -> RelationInstance:
@@ -217,11 +233,11 @@ def _random_tree(heads_seed: list[int]) -> RelationInstance:
     lambda n: st.tuples(
         st.tuples(*[st.integers(0, i) for i in range(n - 1)]),
         st.integers(0, n - 1),
-        st.integers(0, n - 1),
+        st.sets(st.integers(0, n - 1), min_size=1, max_size=3),
     )
 ))
 def test_path_length_matches_bfs_oracle(args):
-    heads_seed, a, b = args
+    heads_seed, a, targets = args
     inst = _random_tree(list(heads_seed))
     n = len(inst.tokens)
 
@@ -241,12 +257,13 @@ def test_path_length_matches_bfs_oracle(args):
                 dist[v] = dist[u] + 1
                 queue.append(v)
 
-    path, ends = shortest_dep_path(inst, {a}, {b})
-    assert len(path.steps) == dist[b]
-    assert ends == (a, b)
+    nearest = min(targets, key=lambda t: (dist[t], t))
+    path = shortest_dep_path(inst, a, targets)
+    assert len(path.steps) == dist[nearest]
 
-    # walking the steps from a must land on b; deprels are unique per
-    # dependent here, so each DOWN step names exactly one child
+    # walking the steps from a must land on the lowest-index nearest
+    # target; deprels are unique per dependent here, so each DOWN step
+    # names exactly one child
     pos = a
     for step in path.steps:
         if step.direction == UP:
@@ -256,7 +273,7 @@ def test_path_length_matches_bfs_oracle(args):
                         if t.head == pos and t.deprel == step.deprel]
             assert len(children) == 1
             pos = children[0]
-    assert pos == b
+    assert pos == nearest
 
 
 class TestMasking:

@@ -11,11 +11,11 @@ from rexl.rules import (
     GEN_TEST,
     GEN_TRAIN,
     MANUAL,
+    first_match,
     format_path,
     format_rules,
     match_rule,
     parse_rules,
-    predict_with_rules,
 )
 
 
@@ -216,8 +216,8 @@ class TestMerge:
         b = parse_rules(self._rule_text("b-01", "daughter", "per:spouse"))
         first = merge_rulesets([a, b])
         second = merge_rulesets([b, a])
-        assert predict_with_rules(first, family_instance) == "per:children"
-        assert predict_with_rules(second, family_instance) == "per:spouse"
+        assert first_match(first, family_instance).label == "per:children"
+        assert first_match(second, family_instance).label == "per:spouse"
 
 
 class TestRoundTripProperty:

@@ -22,7 +22,6 @@ from rexl.rules import (
     match_rule,
     parse_path,
     parse_rules,
-    predict_with_rules,
 )
 
 from conftest import make_instance
@@ -396,12 +395,12 @@ class TestArbitration:
             "label: per:city_of_birth", "label: per:city_of_death")
         a = parse_rules(BIRTH_RULE + "\n" + other)
         b = parse_rules(other + "\n" + BIRTH_RULE)
-        assert predict_with_rules(a, birth_instance) == "per:city_of_birth"
-        assert predict_with_rules(b, birth_instance) == "per:city_of_death"
+        assert first_match(a, birth_instance).label == "per:city_of_birth"
+        assert first_match(b, birth_instance).label == "per:city_of_death"
 
     def test_no_match_predicts_no_relation(self, family_instance):
         (rule,) = parse_rules(BIRTH_RULE)
-        assert predict_with_rules(RuleSet([rule]), family_instance) == NO_RELATION
+        assert first_match(RuleSet([rule]), family_instance) is None
 
     def test_match_all_preserves_order(self, birth_instance):
         other = BIRTH_RULE.replace("manual-01", "manual-09").replace(
@@ -438,8 +437,6 @@ class TestFirstMatch:
             every = match_all(rules, inst)
             first = first_match(rules, inst)
             assert first == (every[0] if every else None), inst.id
-            assert predict_with_rules(rules, inst) == (
-                every[0].label if every else NO_RELATION)
             hits += first is not None
         assert builds == []
         assert 0 < hits < len(corpus.train) + len(corpus.dev) + len(corpus.test)
